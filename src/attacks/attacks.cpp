@@ -76,7 +76,6 @@ std::shared_ptr<kernel::SnapshotCache> g_snapshot_cache;
 void note_snapshot_machine(Machine& m) {
   if (!snapshot_mode()) return;
   const mem::PhysicalMemory& pm = m.mmu().phys();
-  if (!pm.cow()) return;
   std::lock_guard<std::mutex> lock(g_snap_mu);
   ++g_snap.machines;
   if (m.forked()) ++g_snap.forks;

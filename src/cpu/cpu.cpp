@@ -1304,9 +1304,11 @@ constexpr Cpu::ExecFn pick_handler(Op op) {
     case Op::AUTIB1716: return &ExecHandlers::autx1716;
     case Op::XPACLRI: return &ExecHandlers::xpaclri;
     case Op::SWP: return &ExecHandlers::swp;
-    case Op::kCount: return nullptr;  // never decoded; not in the table
+    case Op::kCount: break;  // never decoded; not in the table
   }
-  return nullptr;
+  // Not a constant expression: kExecTable below is built at compile time, so
+  // a decodable Op without a handler fails the build right here.
+  fail("every decodable Op must have an exec handler");
 }
 
 constexpr auto kExecTable = [] {
@@ -1315,14 +1317,6 @@ constexpr auto kExecTable = [] {
     t[i] = pick_handler(static_cast<Op>(i));
   return t;
 }();
-
-static_assert(
-    [] {
-      for (Cpu::ExecFn fn : kExecTable)
-        if (fn == nullptr) return false;
-      return true;
-    }(),
-    "every decodable Op must have an exec handler");
 
 }  // namespace
 

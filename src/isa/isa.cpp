@@ -238,7 +238,9 @@ std::string reg_name(uint8_t r, bool sp_context) {
   if (r == kRegZrSp) return sp_context ? "sp" : "xzr";
   if (r == kRegFp) return "fp";
   if (r == kRegLr) return "lr";
-  return "x" + std::to_string(r);
+  std::string name = "x";
+  name += std::to_string(r);
+  return name;
 }
 
 // ---------------------------------------------------------------------------

@@ -28,9 +28,7 @@ Machine::Machine(MachineConfig cfg)
         cfg.kernel.num_cpus = want;
         return cfg;
       }()),
-      // Snapshot-cache machines are born sparse (CoW over the zero store):
-      // no 64 MiB zero fill, and forks adopt the template's page store.
-      pm_(cfg.phys_bytes, cfg.snapshot_cache != nullptr),
+      pm_(cfg.phys_bytes),
       mmu_(pm_, cfg.cpu.layout),
       hv_(pm_, mmu_),
       cpu_(mmu_, cfg.cpu),
@@ -612,10 +610,11 @@ bool Machine::run(uint64_t max_steps) {
       sync("imgcache.hits", imgcache_built_ ? 0 : 1);
       sync("imgcache.misses", imgcache_built_ ? 1 : 0);
     }
-    // Snapshot/fork telemetry, CoW machines only — snapshot-off registries
-    // keep their exact shape. Cumulative counts use the same delta sync;
-    // the shared-page census is a gauge (it shrinks as pages privatize).
-    if (pm_.cow()) {
+    // Snapshot/fork telemetry, snapshot-cache or forked machines only —
+    // snapshot-off registries keep their exact shape. Cumulative counts use
+    // the same delta sync; the shared-page census is a gauge (it shrinks as
+    // pages privatize).
+    if (cfg_.snapshot_cache || forked_) {
       sync("snap.forks", forked_ ? 1 : 0);
       sync("snap.cow_pages", pm_.cow_pages());
       reg.gauge("snap.shared_pages")

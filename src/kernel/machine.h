@@ -51,8 +51,7 @@ struct MachineConfig {
   /// identical configuration instead of preparing its own (DESIGN.md §3d).
   /// Guest-visible state is identical either way.
   std::shared_ptr<ImageCache> image_cache;
-  /// Optional shared post-boot snapshot cache (DESIGN.md §3j): when set, the
-  /// machine is constructed with sparse copy-on-write physical memory and
+  /// Optional shared post-boot snapshot cache (DESIGN.md §3j): when set,
   /// boot() either boots fresh (first machine per boot_signature(), whose
   /// snapshot seeds the cache) or forks — adopting the shared page store and
   /// restoring all architectural state instead of re-running the bootloader.

@@ -17,17 +17,11 @@ uint64_t page_span(uint64_t p, uint64_t size) {
 }
 }  // namespace
 
-PhysicalMemory::PhysicalMemory(uint64_t size_bytes, bool sparse)
-    : cow_(sparse),
-      size_(size_bytes),
-      page_gen_((size_bytes + kPageSize - 1) >> kPageShift, 0) {
-  if (sparse) {
-    overlay_.resize(page_gen_.size());
-    read_ptr_.assign(page_gen_.size(), nullptr);
-  } else {
-    bytes_.assign(size_bytes, 0);
-  }
-}
+PhysicalMemory::PhysicalMemory(uint64_t size_bytes)
+    : size_(size_bytes),
+      overlay_((size_bytes + kPageSize - 1) >> kPageShift),
+      read_ptr_(overlay_.size(), nullptr),
+      page_gen_(overlay_.size(), 0) {}
 
 void PhysicalMemory::check(uint64_t pa, uint64_t len) const {
   if (pa > size_ || len > size_ - pa)
@@ -37,125 +31,19 @@ void PhysicalMemory::check(uint64_t pa, uint64_t len) const {
 
 uint8_t* PhysicalMemory::page_mut(uint64_t p) {
   if (overlay_[p]) return overlay_[p].get();
+  // Value-initialized, so bytes past a partial store page (and past the end
+  // of a partial last page) stay zero.
   auto page = std::make_unique<uint8_t[]>(kPageSize);
-  const uint8_t* base = read_ptr_[p];
-  if (base != nullptr) {
-    // Store pages are full-span; a partial last page keeps its tail zero.
-    const uint64_t have =
-        store_ ? store_->pages[p].size() : page_span(p, size_);
-    std::memcpy(page.get(), base, have);
-    std::memset(page.get() + have, 0, kPageSize - have);
-  } else {
-    std::memset(page.get(), 0, kPageSize);
-  }
+  // A non-overlay read view can only be a store page.
+  if (read_ptr_[p] != nullptr)
+    std::memcpy(page.get(), read_ptr_[p], store_->pages[p].size());
+  read_ptr_[p] = page.get();
   overlay_[p] = std::move(page);
-  read_ptr_[p] = overlay_[p].get();
   ++cow_count_;
   return overlay_[p].get();
 }
 
-uint8_t PhysicalMemory::read8(uint64_t pa) const {
-  check(pa, 1);
-  if (!cow_) return bytes_[pa];
-  const uint8_t* p = read_ptr_[pa >> kPageShift];
-  return p != nullptr ? p[pa & (kPageSize - 1)] : 0;
-}
-
-uint32_t PhysicalMemory::read32(uint64_t pa) const {
-  check(pa, 4);
-  uint32_t v;
-  if (!cow_) {
-    std::memcpy(&v, &bytes_[pa], 4);
-    return v;
-  }
-  const uint64_t off = pa & (kPageSize - 1);
-  if (off <= kPageSize - 4) {
-    const uint8_t* p = read_ptr_[pa >> kPageShift];
-    if (p == nullptr) return 0;
-    std::memcpy(&v, p + off, 4);
-    return v;
-  }
-  uint8_t b[4];
-  for (unsigned i = 0; i < 4; ++i) b[i] = read8(pa + i);
-  std::memcpy(&v, b, 4);
-  return v;
-}
-
-uint64_t PhysicalMemory::read64(uint64_t pa) const {
-  check(pa, 8);
-  uint64_t v;
-  if (!cow_) {
-    std::memcpy(&v, &bytes_[pa], 8);
-    return v;
-  }
-  const uint64_t off = pa & (kPageSize - 1);
-  if (off <= kPageSize - 8) {
-    const uint8_t* p = read_ptr_[pa >> kPageShift];
-    if (p == nullptr) return 0;
-    std::memcpy(&v, p + off, 8);
-    return v;
-  }
-  uint8_t b[8];
-  for (unsigned i = 0; i < 8; ++i) b[i] = read8(pa + i);
-  std::memcpy(&v, b, 8);
-  return v;
-}
-
-void PhysicalMemory::write8(uint64_t pa, uint8_t v) {
-  check(pa, 1);
-  touch(pa, 1);
-  if (!cow_) {
-    bytes_[pa] = v;
-    return;
-  }
-  page_mut(pa >> kPageShift)[pa & (kPageSize - 1)] = v;
-}
-
-void PhysicalMemory::write32(uint64_t pa, uint32_t v) {
-  check(pa, 4);
-  touch(pa, 4);
-  if (!cow_) {
-    std::memcpy(&bytes_[pa], &v, 4);
-    return;
-  }
-  const uint64_t off = pa & (kPageSize - 1);
-  if (off <= kPageSize - 4) {
-    std::memcpy(page_mut(pa >> kPageShift) + off, &v, 4);
-    return;
-  }
-  uint8_t b[4];
-  std::memcpy(b, &v, 4);
-  for (unsigned i = 0; i < 4; ++i)
-    page_mut((pa + i) >> kPageShift)[(pa + i) & (kPageSize - 1)] = b[i];
-}
-
-void PhysicalMemory::write64(uint64_t pa, uint64_t v) {
-  check(pa, 8);
-  touch(pa, 8);
-  if (!cow_) {
-    std::memcpy(&bytes_[pa], &v, 8);
-    return;
-  }
-  const uint64_t off = pa & (kPageSize - 1);
-  if (off <= kPageSize - 8) {
-    std::memcpy(page_mut(pa >> kPageShift) + off, &v, 8);
-    return;
-  }
-  uint8_t b[8];
-  std::memcpy(b, &v, 8);
-  for (unsigned i = 0; i < 8; ++i)
-    page_mut((pa + i) >> kPageShift)[(pa + i) & (kPageSize - 1)] = b[i];
-}
-
-void PhysicalMemory::write_block(uint64_t pa, const void* data, uint64_t len) {
-  check(pa, len);
-  if (len == 0) return;
-  touch(pa, len);
-  if (!cow_) {
-    std::memcpy(&bytes_[pa], data, len);
-    return;
-  }
-  const uint8_t* src = static_cast<const uint8_t*>(data);
+void PhysicalMemory::copy_in(uint64_t pa, const uint8_t* src, uint64_t len) {
   while (len > 0) {
     const uint64_t off = pa & (kPageSize - 1);
     const uint64_t chunk = std::min<uint64_t>(len, kPageSize - off);
@@ -166,13 +54,7 @@ void PhysicalMemory::write_block(uint64_t pa, const void* data, uint64_t len) {
   }
 }
 
-void PhysicalMemory::read_block(uint64_t pa, void* data, uint64_t len) const {
-  check(pa, len);
-  if (!cow_) {
-    std::memcpy(data, &bytes_[pa], len);
-    return;
-  }
-  uint8_t* dst = static_cast<uint8_t*>(data);
+void PhysicalMemory::copy_out(uint64_t pa, uint8_t* dst, uint64_t len) const {
   while (len > 0) {
     const uint64_t off = pa & (kPageSize - 1);
     const uint64_t chunk = std::min<uint64_t>(len, kPageSize - off);
@@ -187,14 +69,82 @@ void PhysicalMemory::read_block(uint64_t pa, void* data, uint64_t len) const {
   }
 }
 
+uint8_t PhysicalMemory::read8(uint64_t pa) const {
+  check(pa, 1);
+  const uint8_t* p = read_ptr_[pa >> kPageShift];
+  return p != nullptr ? p[pa & (kPageSize - 1)] : 0;
+}
+
+uint32_t PhysicalMemory::read32(uint64_t pa) const {
+  check(pa, 4);
+  uint32_t v;
+  const uint64_t off = pa & (kPageSize - 1);
+  if (off <= kPageSize - 4) {
+    const uint8_t* p = read_ptr_[pa >> kPageShift];
+    if (p == nullptr) return 0;
+    std::memcpy(&v, p + off, 4);
+    return v;
+  }
+  copy_out(pa, reinterpret_cast<uint8_t*>(&v), 4);
+  return v;
+}
+
+uint64_t PhysicalMemory::read64(uint64_t pa) const {
+  check(pa, 8);
+  uint64_t v;
+  const uint64_t off = pa & (kPageSize - 1);
+  if (off <= kPageSize - 8) {
+    const uint8_t* p = read_ptr_[pa >> kPageShift];
+    if (p == nullptr) return 0;
+    std::memcpy(&v, p + off, 8);
+    return v;
+  }
+  copy_out(pa, reinterpret_cast<uint8_t*>(&v), 8);
+  return v;
+}
+
+void PhysicalMemory::write8(uint64_t pa, uint8_t v) {
+  check(pa, 1);
+  touch(pa, 1);
+  page_mut(pa >> kPageShift)[pa & (kPageSize - 1)] = v;
+}
+
+void PhysicalMemory::write32(uint64_t pa, uint32_t v) {
+  check(pa, 4);
+  touch(pa, 4);
+  const uint64_t off = pa & (kPageSize - 1);
+  if (off <= kPageSize - 4)
+    std::memcpy(page_mut(pa >> kPageShift) + off, &v, 4);
+  else
+    copy_in(pa, reinterpret_cast<const uint8_t*>(&v), 4);
+}
+
+void PhysicalMemory::write64(uint64_t pa, uint64_t v) {
+  check(pa, 8);
+  touch(pa, 8);
+  const uint64_t off = pa & (kPageSize - 1);
+  if (off <= kPageSize - 8)
+    std::memcpy(page_mut(pa >> kPageShift) + off, &v, 8);
+  else
+    copy_in(pa, reinterpret_cast<const uint8_t*>(&v), 8);
+}
+
+void PhysicalMemory::write_block(uint64_t pa, const void* data, uint64_t len) {
+  check(pa, len);
+  if (len == 0) return;
+  touch(pa, len);
+  copy_in(pa, static_cast<const uint8_t*>(data), len);
+}
+
+void PhysicalMemory::read_block(uint64_t pa, void* data, uint64_t len) const {
+  check(pa, len);
+  copy_out(pa, static_cast<uint8_t*>(data), len);
+}
+
 void PhysicalMemory::fill(uint64_t pa, uint8_t value, uint64_t len) {
   check(pa, len);
   if (len == 0) return;
   touch(pa, len);
-  if (!cow_) {
-    std::memset(&bytes_[pa], value, len);
-    return;
-  }
   while (len > 0) {
     const uint64_t off = pa & (kPageSize - 1);
     const uint64_t chunk = std::min<uint64_t>(len, kPageSize - off);
@@ -215,25 +165,14 @@ std::shared_ptr<const PageStore> PhysicalMemory::snapshot() const {
   store->pages.resize(n);
   store->page_gen = page_gen_;
   for (uint64_t p = 0; p < n; ++p) {
-    const uint64_t span = page_span(p, size_);
-    const uint8_t* src = nullptr;
-    uint64_t have = 0;
-    if (cow_) {
-      src = read_ptr_[p];
-      have = src == nullptr ? 0
-             : overlay_[p]  ? span
-                            : store_->pages[p].size();
-    } else {
-      src = &bytes_[p << kPageShift];
-      have = span;
-    }
+    const uint8_t* src = read_ptr_[p];
     if (src == nullptr) continue;  // never written: stays the zero page
-    // All-zero pages stay empty so forks keep sharing the implicit zero
-    // page (this is what makes flat-mode templates fork as cheaply as
-    // sparse ones).
-    bool any = false;
-    for (uint64_t i = 0; i < have && !any; ++i) any = src[i] != 0;
-    if (!any) continue;
+    const uint64_t have =
+        overlay_[p] ? page_span(p, size_) : store_->pages[p].size();
+    // Pages written back to all-zero stay empty so forks keep sharing the
+    // implicit zero page.
+    if (std::all_of(src, src + have, [](uint8_t b) { return b == 0; }))
+      continue;
     store->pages[p].assign(src, src + have);
   }
   return store;
@@ -243,9 +182,6 @@ void PhysicalMemory::adopt(std::shared_ptr<const PageStore> store) {
   if (!store) fail("physical memory: adopt of a null page store");
   if (store->size_bytes != size_ || store->page_gen.size() != page_gen_.size())
     fail("physical memory: page store size mismatch");
-  cow_ = true;
-  bytes_.clear();
-  bytes_.shrink_to_fit();
   store_ = std::move(store);
   const uint64_t n = page_count();
   overlay_.clear();

@@ -1,4 +1,4 @@
-// Flat physical memory backing the simulated machine.
+// Physical memory backing the simulated machine: sparse and copy-on-write.
 //
 // Out-of-range physical accesses throw camo::Error: guest code can only reach
 // physical memory through hypervisor-owned translations, so an out-of-range
@@ -11,17 +11,17 @@
 // patching key-setter immediates — invalidates stale decodes without an
 // explicit invalidation call. Reads never bump a generation.
 //
-// Copy-on-write mode (DESIGN.md §3j): a machine can be born sparse (every
-// page reads as zero until first written — no up-front zero fill) or adopt a
-// shared immutable PageStore captured from a booted template machine. Either
-// way, the first write to a page allocates a private 4 KiB overlay; reads of
-// untouched pages come from the store (or the implicit zero page). The
-// per-page generation vector is always private to this machine, so the
-// predecode/superblock/trace invalidation contracts are untouched: adopting
-// a store installs the store's generations (which are >= anything this
-// machine bumped before adopting, because a fork replays the template's
-// exact pre-boot write sequence) and every later write bumps monotonically.
-// Simulated semantics are bit-for-bit identical between flat and CoW modes.
+// Storage (DESIGN.md §3j): a machine is born over the implicit zero store —
+// every page reads as zero until first written, so construction costs no
+// up-front zero fill — or adopts a shared immutable PageStore captured from
+// a booted template machine. Either way, the first write to a page allocates
+// a private 4 KiB overlay; reads of untouched pages come from the store (or
+// the implicit zero page). The per-page generation vector is always private
+// to this machine, so the predecode/superblock/trace invalidation contracts
+// are untouched: adopting a store installs the store's generations (which
+// are >= anything this machine bumped before adopting, because a fork
+// replays the template's exact pre-boot write sequence) and every later
+// write bumps monotonically.
 #pragma once
 
 #include <cstdint>
@@ -48,10 +48,9 @@ class PhysicalMemory {
   static constexpr unsigned kPageShift = 12;
   static constexpr uint64_t kPageSize = uint64_t{1} << kPageShift;
 
-  /// `sparse` starts the memory in CoW mode over the implicit zero store:
-  /// no 64 MiB zero fill at construction, pages materialize on first write.
-  /// Reads are bit-identical to the flat (default) mode either way.
-  explicit PhysicalMemory(uint64_t size_bytes, bool sparse = false);
+  /// Every page starts as the implicit zero page: no allocation beyond the
+  /// per-page tables, pages materialize on first write.
+  explicit PhysicalMemory(uint64_t size_bytes);
 
   uint64_t size() const { return size_; }
 
@@ -72,17 +71,14 @@ class PhysicalMemory {
   /// machine share the implicit zero page rather than 4 KiB copies.
   std::shared_ptr<const PageStore> snapshot() const;
   /// Become a copy-on-write view of `store` (same size required): drops any
-  /// flat/overlay contents, installs the store's page generations, and
-  /// resets the private-overlay census. Machine::fork's memory half.
+  /// private overlays, installs the store's page generations, and resets the
+  /// private-overlay census. Machine::fork's memory half.
   void adopt(std::shared_ptr<const PageStore> store);
 
-  bool cow() const { return cow_; }
-  /// Pages privatized by a write since construction/adopt (CoW mode only).
+  /// Pages privatized by a write since construction/adopt.
   uint64_t cow_pages() const { return cow_count_; }
-  /// Pages still served by the shared store / zero page (CoW mode only).
-  uint64_t shared_pages() const {
-    return cow_ ? page_count() - cow_count_ : 0;
-  }
+  /// Pages still served by the shared store / zero page.
+  uint64_t shared_pages() const { return page_count() - cow_count_; }
 
   /// Monotonic write generation of the page holding `pa_page << kPageShift`.
   /// Out-of-range pages read as generation 0 (they can never hold code).
@@ -98,16 +94,18 @@ class PhysicalMemory {
     const uint64_t last = (pa + len - 1) >> kPageShift;
     for (uint64_t p = pa >> kPageShift; p <= last; ++p) ++page_gen_[p];
   }
-  /// CoW: writable private copy of page `p`, allocated on first use.
+  /// Writable private copy of page `p`, allocated on first use.
   uint8_t* page_mut(uint64_t p);
+  /// Page-chunked copies behind the bulk and page-straddling accesses
+  /// (callers have already range-checked and, for stores, bumped).
+  void copy_in(uint64_t pa, const uint8_t* src, uint64_t len);
+  void copy_out(uint64_t pa, uint8_t* dst, uint64_t len) const;
 
-  bool cow_ = false;
   uint64_t size_ = 0;
-  std::vector<uint8_t> bytes_;              ///< flat mode backing (else empty)
-  std::shared_ptr<const PageStore> store_;  ///< CoW base (null = all-zero)
-  std::vector<std::unique_ptr<uint8_t[]>> overlay_;  ///< CoW private pages
-  /// CoW per-page read view: overlay if privatized, else the store page,
-  /// else null (reads as zero). One indirection on the read hot path.
+  std::shared_ptr<const PageStore> store_;  ///< shared base (null = all-zero)
+  std::vector<std::unique_ptr<uint8_t[]>> overlay_;  ///< private pages
+  /// Per-page read view: overlay if privatized, else the store page, else
+  /// null (reads as zero). One indirection on the read hot path.
   std::vector<const uint8_t*> read_ptr_;
   uint64_t cow_count_ = 0;
   std::vector<uint64_t> page_gen_;

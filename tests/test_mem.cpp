@@ -68,6 +68,89 @@ TEST(Phys, WritesBumpPageGenerationReadsDoNot) {
   EXPECT_EQ(pm.page_generation(1000), 0u);
 }
 
+TEST(Phys, CrossPageWordAccesses) {
+  PhysicalMemory pm(0x4000);
+  pm.write32(0x0FFE, 0xA1B2C3D4u);
+  EXPECT_EQ(pm.read32(0x0FFE), 0xA1B2C3D4u);
+  EXPECT_EQ(pm.read8(0x0FFF), 0xC3u);
+  EXPECT_EQ(pm.read8(0x1000), 0xB2u);
+  pm.write64(0x1FFB, 0x0102030405060708ull);
+  EXPECT_EQ(pm.read64(0x1FFB), 0x0102030405060708ull);
+  EXPECT_EQ(pm.read32(0x1FFB), 0x05060708u);
+  EXPECT_EQ(pm.read32(0x1FFF), 0x01020304u);
+  EXPECT_EQ(pm.read64(0x0FFC), 0x0000A1B2C3D40000ull);
+  // A read straddling into an untouched page reads its bytes as zero and
+  // privatizes nothing.
+  EXPECT_EQ(pm.read64(0x2FFC), 0u);
+  EXPECT_EQ(pm.cow_pages(), 3u);
+  EXPECT_EQ(pm.page_generation(3), 0u);
+  EXPECT_EQ(pm.page_generation(0), 1u);
+  EXPECT_EQ(pm.page_generation(1), 2u);
+  EXPECT_EQ(pm.page_generation(2), 1u);
+}
+
+TEST(Phys, PartialLastPageThroughSnapshotAndAdopt) {
+  constexpr uint64_t kSize = 0x1800;  // one full page plus half a page
+  PhysicalMemory pm(kSize);
+  EXPECT_EQ(pm.page_count(), 2u);
+  pm.write64(kSize - 8, 0x1122334455667788ull);
+  EXPECT_THROW(pm.write8(kSize, 1), camo::Error);
+  const auto store = pm.snapshot();
+  EXPECT_TRUE(store->pages[0].empty()) << "never written: the zero page";
+  ASSERT_EQ(store->pages[1].size(), kSize - 0x1000);
+
+  PhysicalMemory fork(kSize);
+  fork.adopt(store);
+  EXPECT_EQ(fork.cow_pages(), 0u);
+  EXPECT_EQ(fork.read64(kSize - 8), 0x1122334455667788ull);
+  // Privatizing the partial page copies only its in-range bytes; the
+  // re-captured store page keeps exactly the in-range span.
+  fork.write8(0x1000, 0x5A);
+  EXPECT_EQ(fork.cow_pages(), 1u);
+  const auto again = fork.snapshot();
+  ASSERT_EQ(again->pages[1].size(), kSize - 0x1000);
+  EXPECT_EQ(again->pages[1].front(), 0x5Au);
+  EXPECT_EQ(fork.read64(kSize - 8), 0x1122334455667788ull);
+  EXPECT_EQ(pm.read8(0x1000), 0u) << "the template never sees fork writes";
+}
+
+TEST(Phys, ZeroFillOfUntouchedPageAllocatesNothing) {
+  PhysicalMemory pm(0x4000);
+  pm.fill(0x1000, 0, 0x2000);
+  EXPECT_EQ(pm.cow_pages(), 0u);
+  EXPECT_EQ(pm.shared_pages(), pm.page_count());
+  EXPECT_EQ(pm.page_generation(1), 1u) << "the fill still bumps generations";
+  EXPECT_EQ(pm.page_generation(2), 1u);
+  EXPECT_EQ(pm.page_generation(3), 0u);
+  // Non-zero fills, and zero fills over written pages, do privatize.
+  pm.write8(0x3000, 7);
+  pm.fill(0x3000, 0, 0x10);
+  EXPECT_EQ(pm.read8(0x3000), 0u);
+  pm.fill(0x0, 0xEE, 4);
+  EXPECT_EQ(pm.read32(0x0), 0xEEEEEEEEu);
+  EXPECT_EQ(pm.cow_pages(), 2u);
+  // Pages written back to all-zero are captured as the zero page.
+  EXPECT_TRUE(pm.snapshot()->pages[3].empty());
+}
+
+TEST(Phys, OutOfRangeThrowsForEveryAccessor) {
+  PhysicalMemory pm(0x2000);
+  uint8_t buf[16] = {};
+  EXPECT_THROW(pm.read8(0x2000), camo::Error);
+  EXPECT_THROW(pm.read32(0x1FFE), camo::Error);
+  EXPECT_THROW(pm.write32(0x1FFD, 0), camo::Error);
+  EXPECT_THROW(pm.write64(0x1FF9, 0), camo::Error);
+  EXPECT_THROW(pm.read_block(0x1FF8, buf, sizeof buf), camo::Error);
+  EXPECT_THROW(pm.write_block(0x1FF8, buf, sizeof buf), camo::Error);
+  EXPECT_THROW(pm.fill(0x1000, 0xFF, 0x1001), camo::Error);
+  EXPECT_THROW(pm.read64(~uint64_t{0} - 3), camo::Error) << "no wraparound";
+  EXPECT_EQ(pm.cow_pages(), 0u) << "a rejected access touches nothing";
+  EXPECT_EQ(pm.page_generation(1), 0u);
+  PhysicalMemory other(0x3000);
+  EXPECT_THROW(pm.adopt(other.snapshot()), camo::Error);
+  EXPECT_THROW(pm.adopt(nullptr), camo::Error);
+}
+
 // ---------------------------------------------------------------------------
 // VaLayout
 // ---------------------------------------------------------------------------

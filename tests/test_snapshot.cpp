@@ -199,6 +199,38 @@ TEST(Snapshot, ForkedFleetBitIdenticalToFreshBootAcrossCombos) {
 }
 
 // ---------------------------------------------------------------------------
+// Sparse birth: a machine without a snapshot cache still allocates only the
+// pages it writes (no up-front fill of its physical memory), and its
+// registry carries no snap.* series.
+// ---------------------------------------------------------------------------
+
+TEST(Snapshot, FreshBootPrivatizesOnlyWrittenPages) {
+  Machine m(snap_config(kEngineCombos[3], 1));  // no caches
+  add_workload(m);
+  m.boot();
+  ASSERT_FALSE(m.forked());
+  const mem::PhysicalMemory& pm = m.mmu().phys();
+  const auto written_pages = [&] {
+    uint64_t n = 0;
+    for (uint64_t p = 0; p < pm.page_count(); ++p)
+      n += pm.page_generation(p) != 0 ? 1 : 0;
+    return n;
+  };
+  EXPECT_GT(pm.cow_pages(), 0u);
+  EXPECT_LE(pm.cow_pages(), written_pages());
+  EXPECT_LT(pm.cow_pages() * 32, pm.page_count());
+
+  record_run(m);
+  EXPECT_LE(pm.cow_pages(), written_pages());
+  EXPECT_LT(pm.cow_pages() * 32, pm.page_count());
+  const obs::Registry& reg = m.stats()->metrics();
+  EXPECT_FALSE(reg.has_counter("snap.forks"));
+  EXPECT_FALSE(reg.has_counter("snap.cow_pages"));
+  EXPECT_EQ(reg.find_gauge("snap.shared_pages"), nullptr);
+  EXPECT_EQ(reg.find_histogram("hist.snap.cow_pages"), nullptr);
+}
+
+// ---------------------------------------------------------------------------
 // CoW isolation: a child's writes are invisible to the template and to
 // sibling forks; page generations move only forward within the writer.
 // ---------------------------------------------------------------------------
@@ -220,10 +252,21 @@ TEST(Snapshot, CowIsolationBetweenTemplateAndForks) {
   EXPECT_TRUE(child1->forked());
   EXPECT_TRUE(child2->forked());
 
+  // A fresh fork serves the template's entire contents from the shared
+  // store: every page reads back identical and none is privatized.
   const mem::PhysicalMemory& pm1 = child1->mmu().phys();
-  ASSERT_TRUE(pm1.cow());
-  EXPECT_EQ(pm1.cow_pages(), 0u);  // fresh fork: every page still shared
-  EXPECT_EQ(pm1.cow_pages() + pm1.shared_pages(), pm1.page_count());
+  const mem::PhysicalMemory& pm0 = tmpl->mmu().phys();
+  ASSERT_EQ(pm1.page_count(), pm0.page_count());
+  std::vector<uint8_t> page0(mem::PhysicalMemory::kPageSize);
+  std::vector<uint8_t> page1(mem::PhysicalMemory::kPageSize);
+  for (uint64_t p = 0; p < pm1.page_count(); ++p) {
+    const uint64_t pa = p << mem::PhysicalMemory::kPageShift;
+    pm0.read_block(pa, page0.data(), page0.size());
+    pm1.read_block(pa, page1.data(), page1.size());
+    ASSERT_EQ(page0, page1) << "page " << p;
+  }
+  EXPECT_EQ(pm1.cow_pages(), 0u);
+  EXPECT_EQ(pm1.shared_pages(), pm1.page_count());
 
   std::vector<uint64_t> gens_before(pm1.page_count());
   for (uint64_t p = 0; p < pm1.page_count(); ++p)

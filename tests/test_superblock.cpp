@@ -121,9 +121,10 @@ TEST_P(Superblock, SmcAcrossPageBoundaryInvalidatesCachedBlock) {
   ASSERT_TRUE(sim.core.halted());
   EXPECT_EQ(sim.core.halt_code(), 0x55u);
   EXPECT_EQ(sim.core.x(0), 3u) << "pass 1 adds 1, patched pass 2 adds 2";
-  if (superblocks())
+  if (superblocks()) {
     EXPECT_GE(sim.core.superblock_stats().invalidations, 1u)
         << "the store must invalidate the cached page-2 block";
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -205,9 +206,10 @@ TEST_P(Superblock, CrossCoreSmcInvalidatesPeerCachedBlock) {
   EXPECT_EQ(b.halt_code(), 0x55u);
   EXPECT_EQ(b.x(0), 2u)
       << "core B dispatched a stale cached block after core A's store";
-  if (superblocks())
+  if (superblocks()) {
     EXPECT_GE(b.superblock_stats().invalidations, 1u)
         << "the cross-core store must invalidate core B's cached block";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -333,9 +333,10 @@ TEST_P(TraceTier, CrossCoreSmcInvalidatesPeerTrace) {
   ASSERT_TRUE(b.halted());
   EXPECT_EQ(b.halt_code(), 0x55u);
   EXPECT_EQ(b.x(0), 12u);
-  if (trace_engine())
+  if (trace_engine()) {
     EXPECT_GE(b.superblock_stats().traces_formed, 1u)
         << "12 stable loop passes must form a trace on core B";
+  }
 
   // Core A patches the loop through its own Mmu — never executed on A.
   a.pc = patcher;
@@ -351,9 +352,10 @@ TEST_P(TraceTier, CrossCoreSmcInvalidatesPeerTrace) {
   EXPECT_EQ(b.halt_code(), 0x55u);
   EXPECT_EQ(b.x(0), 24u)
       << "core B replayed a stale trace after core A's store";
-  if (trace_engine())
+  if (trace_engine()) {
     EXPECT_GE(b.superblock_stats().trace_invalidations, 1u)
         << "the cross-core store must invalidate core B's trace";
+  }
 }
 
 // ---------------------------------------------------------------------------
