@@ -117,9 +117,15 @@ MachineConfig machine_config(const ProtectionConfig& prot,
   cfg.kernel.protection = prot;
   cfg.kernel.pac_failure_threshold = threshold;
   cfg.kernel.log_pac_failures = false;
-  // Attack runs always trace: reports cross-check the guest-side failure
-  // counter against the AuthFail events the CPU emitted.
+  // Attack runs always observe, but attach only the feeds attack consumers
+  // read: the trace ring (reports cross-check the guest-side failure counter
+  // against the AuthFail events the CPU emitted), the audit log and flight
+  // recorder (flight bundles), and coverage when asked for. Nothing reads
+  // an attack machine's flat or call-graph profile, and both profilers are
+  // fed on every retired instruction, so they stay detached.
   cfg.obs.enabled = true;
+  cfg.obs.profile = false;
+  cfg.obs.callgraph = false;
   cfg.obs.coverage = collect_coverage();
   if (snapshot_mode()) {
     std::lock_guard<std::mutex> lock(g_snap_mu);

@@ -55,9 +55,11 @@ bool& collect_coverage();
 /// Process-wide knob: when set, every attack Machine shares one prepared-
 /// kernel ImageCache and one post-boot SnapshotCache (DESIGN.md §3j) — the
 /// first machine per boot signature boots a template, every later identical
-/// machine forks it copy-on-write. Guest-visible results (fingerprint,
-/// trace bytes, audit stream) are bit-identical either way; only host boot
-/// cost changes. Set before spawning fleet workers; reads unsynchronized.
+/// machine forks it copy-on-write: it adopts the template's sparse page
+/// store (one entry per written page) and replays its boot-era events.
+/// Guest-visible results (fingerprint, trace bytes, audit stream, verdicts
+/// and failure counts) are bit-identical either way; only host boot cost
+/// changes. Set before spawning fleet workers; reads unsynchronized.
 bool& snapshot_mode();
 
 /// Aggregate snapshot/fork statistics over every attack machine classified

@@ -1,7 +1,9 @@
 #include "kernel/machine.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstring>
 #include <utility>
 
 #include "compiler/instrument.h"
@@ -248,19 +250,31 @@ std::string Machine::boot_signature() const {
                    o.trace_capacity, o.audit_capacity, o.flight_capacity);
   // The task table covers entry/keys but not the program text: hash the
   // user image bytes so two different binaries at the same entry VA cannot
-  // share a snapshot.
-  uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  const auto mix = [&h](const uint8_t* p, size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      h ^= p[i];
-      h *= 1099511628211ull;
-    }
+  // share a snapshot. The hash takes 8 bytes per step (rotate, xor,
+  // multiply; the rotate carries high bits back down so differences in
+  // separate words cannot cancel); the zero-padded tail is safe because
+  // every segment's length is mixed in first.
+  uint64_t h = 0;
+  const auto mix = [&h](uint64_t w) {
+    h = (std::rotl(h, 5) ^ w) * 0x517CC1B727220A95ull;
   };
   for (const obj::Image& img : user_images_)
     for (const auto& seg : img.segments) {
-      const uint64_t head[2] = {seg.va, seg.bytes.size()};
-      mix(reinterpret_cast<const uint8_t*>(head), sizeof head);
-      mix(seg.bytes.data(), seg.bytes.size());
+      const uint8_t* p = seg.bytes.data();
+      const size_t n = seg.bytes.size();
+      mix(seg.va);
+      mix(n);
+      size_t i = 0;
+      for (; i + 8 <= n; i += 8) {
+        uint64_t w;
+        std::memcpy(&w, p + i, 8);
+        mix(w);
+      }
+      if (i < n) {
+        uint64_t w = 0;
+        std::memcpy(&w, p + i, n - i);
+        mix(w);
+      }
     }
   key += strformat(" uimg=%llx", static_cast<unsigned long long>(h));
   return key;

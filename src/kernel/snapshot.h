@@ -2,7 +2,9 @@
 //
 // A MachineSnapshot is everything needed to stamp out an already-booted
 // machine without re-running the bootloader: the shared immutable page store
-// (mem::PageStore — forks are copy-on-write views of it), full architectural
+// (mem::PageStore — one entry per page the template ever wrote, so its size
+// and a fork's adopt cost follow the written pages, not the physical size;
+// forks are copy-on-write views of it), full architectural
 // state per core, the hypervisor's translation/allocator/module state, and
 // the boot-era observability events (trace + audit) so a fork's collector
 // replays them and its merged streams are byte-identical to a fresh boot's.
@@ -34,6 +36,7 @@ namespace camo::kernel {
 /// Immutable post-boot machine image. Shared by every fork; never mutated
 /// after capture (forks privatize pages on write, never through this).
 struct MachineSnapshot {
+  /// Written pages with their generations; never-written pages read zero.
   std::shared_ptr<const mem::PageStore> pages;
   std::vector<cpu::Cpu::CoreState> cores;  ///< index = core id
   hyp::Hypervisor::State hv;

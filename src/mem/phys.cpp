@@ -34,9 +34,10 @@ uint8_t* PhysicalMemory::page_mut(uint64_t p) {
   // Value-initialized, so bytes past a partial store page (and past the end
   // of a partial last page) stay zero.
   auto page = std::make_unique<uint8_t[]>(kPageSize);
-  // A non-overlay read view can only be a store page.
+  // A non-overlay read view can only be a store page, which holds the
+  // page's whole in-range span.
   if (read_ptr_[p] != nullptr)
-    std::memcpy(page.get(), read_ptr_[p], store_->pages[p].size());
+    std::memcpy(page.get(), read_ptr_[p], page_span(p, size_));
   read_ptr_[p] = page.get();
   overlay_[p] = std::move(page);
   ++cow_count_;
@@ -161,36 +162,41 @@ void PhysicalMemory::fill(uint64_t pa, uint8_t value, uint64_t len) {
 std::shared_ptr<const PageStore> PhysicalMemory::snapshot() const {
   auto store = std::make_shared<PageStore>();
   store->size_bytes = size_;
-  const uint64_t n = page_count();
-  store->pages.resize(n);
-  store->page_gen = page_gen_;
-  for (uint64_t p = 0; p < n; ++p) {
+  // A page with a read view has been written, so it has a nonzero
+  // generation: walking the generations visits every page with content.
+  for (uint64_t p = 0; p < page_count(); ++p) {
+    if (page_gen_[p] == 0) continue;  // never written: the zero page
+    PageStore::Page& page = store->pages.emplace_back();
+    page.index = p;
+    page.generation = page_gen_[p];
     const uint8_t* src = read_ptr_[p];
-    if (src == nullptr) continue;  // never written: stays the zero page
-    const uint64_t have =
-        overlay_[p] ? page_span(p, size_) : store_->pages[p].size();
+    if (src == nullptr) continue;
+    const uint8_t* end = src + page_span(p, size_);
     // Pages written back to all-zero stay empty so forks keep sharing the
     // implicit zero page.
-    if (std::all_of(src, src + have, [](uint8_t b) { return b == 0; }))
-      continue;
-    store->pages[p].assign(src, src + have);
+    if (std::any_of(src, end, [](uint8_t b) { return b != 0; }))
+      page.bytes.assign(src, end);
   }
   return store;
 }
 
 void PhysicalMemory::adopt(std::shared_ptr<const PageStore> store) {
   if (!store) fail("physical memory: adopt of a null page store");
-  if (store->size_bytes != size_ || store->page_gen.size() != page_gen_.size())
+  if (store->size_bytes != size_)
     fail("physical memory: page store size mismatch");
   store_ = std::move(store);
   const uint64_t n = page_count();
-  overlay_.clear();
-  overlay_.resize(n);
+  if (cow_count_ != 0) {
+    overlay_.clear();
+    overlay_.resize(n);
+    cow_count_ = 0;
+  }
   read_ptr_.assign(n, nullptr);
-  for (uint64_t p = 0; p < n; ++p)
-    if (!store_->pages[p].empty()) read_ptr_[p] = store_->pages[p].data();
-  cow_count_ = 0;
-  page_gen_ = store_->page_gen;
+  page_gen_.assign(n, 0);
+  for (const PageStore::Page& page : store_->pages) {
+    page_gen_[page.index] = page.generation;
+    if (!page.bytes.empty()) read_ptr_[page.index] = page.bytes.data();
+  }
 }
 
 }  // namespace camo::mem

@@ -21,7 +21,9 @@
 // are untouched: adopting a store installs the store's generations (which
 // are >= anything this machine bumped before adopting, because a fork
 // replays the template's exact pre-boot write sequence) and every later
-// write bumps monotonically.
+// write bumps monotonically. A store holds one entry per page ever written,
+// so a capture is one pass over the generation table and an adopt is two
+// flat table resets plus one scatter per written page.
 #pragma once
 
 #include <cstdint>
@@ -30,16 +32,22 @@
 
 namespace camo::mem {
 
-/// Immutable page image shared by every fork of one template machine. A
-/// page with an empty byte vector reads as all-zero (never written — the
-/// common case, which is what keeps stores and forks cheap). `page_gen`
-/// carries the template's per-page write generations at capture time so
-/// forks inherit generation counters that dominate their own pre-adopt
-/// writes (see the header comment's monotonicity argument).
+/// Immutable page image shared by every fork of one template machine:
+/// one entry per page whose write generation is nonzero at capture time, in
+/// ascending page order. A page without an entry was never written: it
+/// reads as zero at generation 0 (the common case, which is what keeps
+/// stores and forks cheap). An entry's generation lets forks inherit
+/// counters that dominate their own pre-adopt writes (see the header
+/// comment's monotonicity argument); its bytes are the page's in-range span,
+/// or empty when the page was written back to all-zero.
 struct PageStore {
+  struct Page {
+    uint64_t index = 0;          ///< physical page number
+    uint64_t generation = 0;     ///< write generation at capture (nonzero)
+    std::vector<uint8_t> bytes;  ///< in-range bytes; empty = all-zero
+  };
   uint64_t size_bytes = 0;
-  std::vector<std::vector<uint8_t>> pages;  ///< per page; empty = all-zero
-  std::vector<uint64_t> page_gen;           ///< generations at capture time
+  std::vector<Page> pages;
 };
 
 class PhysicalMemory {
@@ -67,12 +75,14 @@ class PhysicalMemory {
   void fill(uint64_t pa, uint8_t value, uint64_t len);
 
   /// Capture current contents + generations as an immutable shared store.
-  /// All-zero pages stay empty in the store, so forks of a mostly-untouched
-  /// machine share the implicit zero page rather than 4 KiB copies.
+  /// Never-written pages get no entry and all-zero pages an empty one, so
+  /// forks of a mostly-untouched machine share the implicit zero page rather
+  /// than 4 KiB copies.
   std::shared_ptr<const PageStore> snapshot() const;
   /// Become a copy-on-write view of `store` (same size required): drops any
-  /// private overlays, installs the store's page generations, and resets the
-  /// private-overlay census. Machine::fork's memory half.
+  /// private overlays, installs the store's page generations (zero for pages
+  /// it has no entry for), and resets the private-overlay census.
+  /// Machine::fork's memory half.
   void adopt(std::shared_ptr<const PageStore> store);
 
   /// Pages privatized by a write since construction/adopt.

@@ -31,14 +31,20 @@ Collector::Collector(const Options& opts)
   key_switch_ = &reg_.histogram("key.switch.cycles");
 }
 
+void Collector::count(Counter*& slot, const char* name, const char* label) {
+  if (slot == nullptr) slot = &reg_.counter(std::string(name) + label);
+  slot->inc();
+}
+
 void Collector::emit(const TraceEvent& e) {
   ring_.emit(e);
+  Counter*& total = by_kind_[static_cast<uint8_t>(e.kind)];
   switch (e.kind) {
     case EventKind::ExcEnter:
-      reg_.counter("exc.enter").inc();
-      reg_.counter(std::string("exc.") + exc_class_label(e.k1)).inc();
+      count(total, "exc.enter");
+      count(exc_class_[e.k1], "exc.", exc_class_label(e.k1));
       if (e.k1 == kExcClassSvc) {
-        reg_.counter("syscall.count").inc();
+        count(syscall_count_, "syscall.count");
         syscall_open_ = true;
         syscall_enter_cycles_ = e.cycles;
         syscall_nr_ = static_cast<uint16_t>(e.b);
@@ -52,7 +58,7 @@ void Collector::emit(const TraceEvent& e) {
       }
       break;
     case EventKind::ExcExit:
-      reg_.counter("exc.exit").inc();
+      count(total, "exc.exit");
       if (syscall_open_ && e.k2 == 0) {  // ERET back to EL0 closes the window
         syscall_open_ = false;
         const uint64_t window = e.cycles - syscall_enter_cycles_;
@@ -68,8 +74,8 @@ void Collector::emit(const TraceEvent& e) {
       }
       break;
     case EventKind::KeyWrite:
-      reg_.counter("key.write").inc();
-      reg_.counter(std::string("key.write.") + pac_key_label(e.k1)).inc();
+      count(total, "key.write");
+      count(key_write_[e.k1], "key.write.", pac_key_label(e.k1));
       if (burst_open_ && e.cycles - burst_last_ <= kBurstGapCycles) {
         burst_last_ = e.cycles;
         ++burst_writes_;
@@ -82,35 +88,34 @@ void Collector::emit(const TraceEvent& e) {
       }
       break;
     case EventKind::PacSign:
-      reg_.counter("pauth.sign").inc();
-      reg_.counter(std::string("pauth.sign.") + pac_key_label(e.k1)).inc();
+      count(total, "pauth.sign");
+      count(sign_[e.k1], "pauth.sign.", pac_key_label(e.k1));
       break;
     case EventKind::AuthOk:
-      reg_.counter("pauth.auth.ok").inc();
+      count(total, "pauth.auth.ok");
       break;
     case EventKind::AuthFail:
-      reg_.counter("pauth.auth.fail").inc();
-      reg_.counter(std::string("pauth.auth.fail.") + pac_key_label(e.k1))
-          .inc();
+      count(total, "pauth.auth.fail");
+      count(auth_fail_[e.k1], "pauth.auth.fail.", pac_key_label(e.k1));
       break;
     case EventKind::Stage2Fault:
-      reg_.counter("stage2.fault").inc();
+      count(total, "stage2.fault");
       break;
     case EventKind::ContextSwitch:
-      reg_.counter("sched.switch").inc();
+      count(total, "sched.switch");
       break;
     case EventKind::HvcCall:
-      reg_.counter("hvc.call").inc();
+      count(total, "hvc.call");
       break;
     case EventKind::ModuleLoad:
-      reg_.counter("module.load").inc();
+      count(total, "module.load");
       break;
     case EventKind::MsrDenied:
-      reg_.counter("msr.denied").inc();
+      count(total, "msr.denied");
       break;
     case EventKind::AttackOutcome:
-      reg_.counter("attack.outcome").inc();
-      reg_.counter(std::string("attack.") + outcome_label(e.k1)).inc();
+      count(total, "attack.outcome");
+      count(outcome_[e.k1], "attack.", outcome_label(e.k1));
       break;
     default:
       break;

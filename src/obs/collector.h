@@ -18,6 +18,7 @@
 // Fig. 3 reports.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <string>
 #include <unordered_map>
@@ -152,6 +153,25 @@ class Collector : public TraceSink,
   // Cycle counter reconstructed from the retire feed (pre-step timestamps
   // for the flight ring).
   uint64_t retired_cycles_ = 0;
+
+  /// Increment the counter `name` + `label`, resolving it into `slot` on
+  /// first use. Resolution stays lazy, so no counter exists before its first
+  /// event and the registry shape remains a function of the event stream;
+  /// caching keeps the name build and registry lookup off every later event
+  /// (a fork replays its template's boot-era stream through here).
+  void count(Counter*& slot, const char* name, const char* label = "");
+
+  // Event-derived counters, indexed by the 8-bit kind or label payload, so
+  // no byte value can index out of range (every out-of-range label payload
+  // resolves to its family's "<bad-...>" counter).
+  using ByPayload = std::array<Counter*, 256>;
+  ByPayload by_kind_{};
+  Counter* syscall_count_ = nullptr;
+  ByPayload exc_class_{};
+  ByPayload key_write_{};
+  ByPayload sign_{};
+  ByPayload auth_fail_{};
+  ByPayload outcome_{};
 
   // Hot-path counter/histogram references (resolved once; Registry
   // references are stable).

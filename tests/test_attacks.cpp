@@ -2,7 +2,12 @@
 // protection configuration, and the modifier replay matrix (§6.2.1, §7).
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+
 #include "attacks/attacks.h"
+#include "kernel/abi.h"
+#include "perfbench/bench/expected.h"
 
 namespace camo::attacks {
 namespace {
@@ -230,6 +235,84 @@ TEST(ReplayMatrix, CamouflageStrictlyStrongerThanBoth) {
   EXPECT_EQ(count(BackwardScheme::Camouflage), 0);
   EXPECT_GT(count(BackwardScheme::ClangSp), 0);
   EXPECT_GT(count(BackwardScheme::Parts), 0);
+}
+
+// ---- the §6.2 sweep, forked and fresh -------------------------------------
+
+/// Guest-side facts of each sweep scenario, in perfbench::kScenarios order,
+/// recorded from fresh boots. Outcome and retired counts come from
+/// perfbench/bench/expected.h itself.
+struct ScenarioFacts {
+  uint64_t pac_failures;
+  uint64_t halt_code;
+  uint64_t trace_auth_failures;
+};
+
+using kernel::kHaltDone;
+using kernel::kHaltPacPanic;
+using kernel::kHaltPwned;
+constexpr ScenarioFacts kScenarioFacts[] = {
+    {0, kHaltPwned, 0},     // rop-injection/none
+    {1, kHaltDone, 1},      // rop-injection/backward
+    {1, kHaltDone, 1},      // rop-injection/full
+    {0, kHaltPwned, 0},     // forward-edge/none
+    {0, kHaltPwned, 0},     // forward-edge/backward
+    {1, kHaltDone, 1},      // forward-edge/full
+    {0, kHaltPwned, 0},     // fops-redirect/none
+    {0, kHaltPwned, 0},     // fops-redirect/backward
+    {1, kHaltDone, 1},      // fops-redirect/full
+    {0, kHaltDone, 0},      // fops-cross-object/none
+    {0, kHaltDone, 0},      // fops-cross-object/backward
+    {1, kHaltDone, 1},      // fops-cross-object/full
+    {8, kHaltPacPanic, 0},  // bruteforce/none
+    {8, kHaltPacPanic, 0},  // bruteforce/backward
+    {8, kHaltPacPanic, 8},  // bruteforce/full
+    {0, 0, 0},              // key-extraction/none
+    {0, 0, 0},              // key-extraction/backward
+    {0, 0, 0},              // key-extraction/full
+    {0, 0, 0},              // rodata-tamper/none
+    {0, 0, 0},              // rodata-tamper/backward
+    {0, 0, 0},              // rodata-tamper/full
+    {0, kHaltPwned, 0},     // trapframe/none
+    {0, kHaltPwned, 0},     // trapframe/backward
+    {0, kHaltPwned, 0},     // trapframe/full
+    {1, kHaltDone, 1},      // trapframe-protected/none
+    {1, kHaltDone, 1},      // trapframe-protected/backward
+    {1, kHaltDone, 1},      // trapframe-protected/full
+    {0, kHaltDone, 3},      // trapframe-migration/none
+    {1, kHaltDone, 1},      // trapframe-migration/backward
+    {1, kHaltDone, 1},      // trapframe-migration/full
+};
+static_assert(std::size(kScenarioFacts) == std::size(perfbench::kScenarios));
+
+/// Attack machines attach only the feeds attack reports read, and fork from
+/// snapshots under snapshot_mode(): neither may move a guest-side fact.
+TEST(AttackSweep, ReportsMatchRecordedFactsForkedAndFresh) {
+  collect_coverage() = true;
+  for (const bool snap : {false, true}) {
+    snapshot_mode() = snap;
+    reset_snapshot_stats();
+    for (size_t i = 0; i < std::size(perfbench::kScenarios); ++i) {
+      const perfbench::ScenarioExpect& want = perfbench::kScenarios[i];
+      const ScenarioFacts& facts = kScenarioFacts[i];
+      const std::string name = std::string(want.attack) + "/" + want.config +
+                               (snap ? " (forked)" : " (fresh)");
+      const auto r = run_named_attack(want.attack, want.config);
+      ASSERT_TRUE(r.has_value()) << name;
+      EXPECT_EQ(r->outcome, want.outcome) << name;
+      EXPECT_EQ(r->pac_failures, facts.pac_failures) << name;
+      EXPECT_EQ(r->halt_code, facts.halt_code) << name;
+      EXPECT_EQ(r->trace_auth_failures, facts.trace_auth_failures) << name;
+      ASSERT_NE(r->coverage, nullptr) << name;
+      EXPECT_EQ(r->coverage->retired_total(), want.retired) << name;
+    }
+    if (snap) {
+      EXPECT_GT(snapshot_stats().forks, 0u);
+    }
+  }
+  snapshot_mode() = false;
+  collect_coverage() = false;
+  reset_snapshot_stats();
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 // translation and permissions, stage-2 overlay (XOM), physical memory.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "mem/mmu.h"
 #include "mem/phys.h"
 #include "mem/valayout.h"
@@ -89,6 +92,29 @@ TEST(Phys, CrossPageWordAccesses) {
   EXPECT_EQ(pm.page_generation(2), 1u);
 }
 
+/// The store entry for page `p`, or null when the store has none (the page
+/// was never written).
+const PageStore::Page* store_page(const PageStore& store, uint64_t p) {
+  for (const PageStore::Page& page : store.pages)
+    if (page.index == p) return &page;
+  return nullptr;
+}
+
+/// Every page of `a` and `b` reads the same bytes at the same generation.
+void expect_same_pages(const PhysicalMemory& a, const PhysicalMemory& b) {
+  ASSERT_EQ(a.page_count(), b.page_count());
+  for (uint64_t p = 0; p < a.page_count(); ++p) {
+    const uint64_t pa = p << PhysicalMemory::kPageShift;
+    const uint64_t len =
+        std::min<uint64_t>(PhysicalMemory::kPageSize, a.size() - pa);
+    std::vector<uint8_t> bytes_a(len), bytes_b(len);
+    a.read_block(pa, bytes_a.data(), len);
+    b.read_block(pa, bytes_b.data(), len);
+    EXPECT_EQ(bytes_a, bytes_b) << "page " << p;
+    EXPECT_EQ(a.page_generation(p), b.page_generation(p)) << "page " << p;
+  }
+}
+
 TEST(Phys, PartialLastPageThroughSnapshotAndAdopt) {
   constexpr uint64_t kSize = 0x1800;  // one full page plus half a page
   PhysicalMemory pm(kSize);
@@ -96,8 +122,11 @@ TEST(Phys, PartialLastPageThroughSnapshotAndAdopt) {
   pm.write64(kSize - 8, 0x1122334455667788ull);
   EXPECT_THROW(pm.write8(kSize, 1), camo::Error);
   const auto store = pm.snapshot();
-  EXPECT_TRUE(store->pages[0].empty()) << "never written: the zero page";
-  ASSERT_EQ(store->pages[1].size(), kSize - 0x1000);
+  EXPECT_EQ(store_page(*store, 0), nullptr) << "never written: the zero page";
+  const PageStore::Page* last = store_page(*store, 1);
+  ASSERT_NE(last, nullptr);
+  EXPECT_EQ(last->generation, 1u);
+  ASSERT_EQ(last->bytes.size(), kSize - 0x1000);
 
   PhysicalMemory fork(kSize);
   fork.adopt(store);
@@ -108,8 +137,11 @@ TEST(Phys, PartialLastPageThroughSnapshotAndAdopt) {
   fork.write8(0x1000, 0x5A);
   EXPECT_EQ(fork.cow_pages(), 1u);
   const auto again = fork.snapshot();
-  ASSERT_EQ(again->pages[1].size(), kSize - 0x1000);
-  EXPECT_EQ(again->pages[1].front(), 0x5Au);
+  const PageStore::Page* again_last = store_page(*again, 1);
+  ASSERT_NE(again_last, nullptr);
+  EXPECT_EQ(again_last->generation, 2u);
+  ASSERT_EQ(again_last->bytes.size(), kSize - 0x1000);
+  EXPECT_EQ(again_last->bytes.front(), 0x5Au);
   EXPECT_EQ(fork.read64(kSize - 8), 0x1122334455667788ull);
   EXPECT_EQ(pm.read8(0x1000), 0u) << "the template never sees fork writes";
 }
@@ -130,7 +162,110 @@ TEST(Phys, ZeroFillOfUntouchedPageAllocatesNothing) {
   EXPECT_EQ(pm.read32(0x0), 0xEEEEEEEEu);
   EXPECT_EQ(pm.cow_pages(), 2u);
   // Pages written back to all-zero are captured as the zero page.
-  EXPECT_TRUE(pm.snapshot()->pages[3].empty());
+  const auto store = pm.snapshot();
+  const PageStore::Page* zeroed = store_page(*store, 3);
+  ASSERT_NE(zeroed, nullptr);
+  EXPECT_TRUE(zeroed->bytes.empty());
+  EXPECT_EQ(zeroed->generation, 2u);
+  for (const uint64_t p : {1u, 2u}) {
+    ASSERT_NE(store_page(*store, p), nullptr) << "page " << p;
+    EXPECT_TRUE(store_page(*store, p)->bytes.empty()) << "page " << p;
+  }
+  ASSERT_NE(store_page(*store, 0), nullptr);
+  EXPECT_EQ(store_page(*store, 0)->bytes.size(), PhysicalMemory::kPageSize);
+}
+
+TEST(Phys, StoreHoldsOneEntryPerWrittenPage) {
+  PhysicalMemory pm(0x40000);  // 64 pages
+  pm.write8(0x5000, 1);
+  pm.write64(0x5008, 2);
+  pm.write32(0x0FFE, 0xA1B2C3D4u);  // straddles pages 0 and 1
+  pm.fill(0x20000, 0, 0x3000);  // pages 32..34, still reading zero
+  pm.write_block(0x3F000, "tail", 4);
+  const auto store = pm.snapshot();
+  std::vector<uint64_t> indices, gens;
+  for (const PageStore::Page& page : store->pages) {
+    indices.push_back(page.index);
+    gens.push_back(page.generation);
+  }
+  EXPECT_EQ(indices, (std::vector<uint64_t>{0, 1, 5, 32, 33, 34, 63}))
+      << "ascending, exactly the nonzero-generation pages";
+  EXPECT_EQ(gens, (std::vector<uint64_t>{1, 1, 2, 1, 1, 1, 1}));
+  uint64_t written = 0;
+  for (uint64_t p = 0; p < pm.page_count(); ++p)
+    written += pm.page_generation(p) != 0 ? 1 : 0;
+  EXPECT_EQ(store->pages.size(), written);
+  for (const PageStore::Page& page : store->pages)
+    EXPECT_EQ(page.bytes.empty(), page.index >= 32 && page.index <= 34)
+        << "page " << page.index;
+}
+
+TEST(Phys, ZeroedPageKeepsGenerationThroughAdopt) {
+  PhysicalMemory pm(0x3000);
+  pm.write64(0x1010, 0xDEADBEEFull);
+  pm.write64(0x1010, 0);  // back to all-zero
+  const auto store = pm.snapshot();
+  const PageStore::Page* page = store_page(*store, 1);
+  ASSERT_NE(page, nullptr);
+  EXPECT_TRUE(page->bytes.empty());
+
+  PhysicalMemory fork(0x3000);
+  fork.adopt(store);
+  EXPECT_EQ(fork.page_generation(1), 2u)
+      << "the generation survives although the bytes are not stored";
+  EXPECT_EQ(fork.read64(0x1010), 0u);
+  uint8_t bytes[PhysicalMemory::kPageSize];
+  fork.read_block(0x1000, bytes, sizeof bytes);
+  EXPECT_TRUE(std::all_of(bytes, bytes + sizeof bytes,
+                          [](uint8_t b) { return b == 0; }));
+  EXPECT_EQ(fork.cow_pages(), 0u) << "reading a zeroed page allocates nothing";
+  // The next write still bumps past the inherited generation.
+  fork.write8(0x1000, 1);
+  EXPECT_EQ(fork.page_generation(1), 3u);
+}
+
+TEST(Phys, AdoptDropsPreAdoptOverlays) {
+  PhysicalMemory tmpl(0x4000);
+  tmpl.write64(0x1000, 0x1111);
+  const auto store = tmpl.snapshot();
+
+  PhysicalMemory fork(0x4000);
+  fork.write64(0x1000, 0x2222);  // a page the store holds
+  fork.write64(0x2000, 0x3333);  // a page the store does not hold
+  EXPECT_EQ(fork.cow_pages(), 2u);
+  fork.adopt(store);
+  EXPECT_EQ(fork.cow_pages(), 0u);
+  EXPECT_EQ(fork.shared_pages(), fork.page_count());
+  EXPECT_EQ(fork.read64(0x1000), 0x1111u) << "reads come from the store";
+  EXPECT_EQ(fork.read64(0x2000), 0u) << "and the zero page";
+  EXPECT_EQ(fork.page_generation(1), 1u);
+  EXPECT_EQ(fork.page_generation(2), 0u);
+  expect_same_pages(fork, tmpl);
+  // Adopting again over a store-only view keeps serving the store.
+  fork.adopt(store);
+  EXPECT_EQ(fork.read64(0x1000), 0x1111u);
+}
+
+TEST(Phys, ForkOfForkMatchesItsParentPageByPage) {
+  constexpr uint64_t kSize = 0x8800;  // 8 full pages and a partial one
+  PhysicalMemory tmpl(kSize);
+  tmpl.write64(0x0100, 0xA1);
+  tmpl.fill(0x2000, 0x5C, 0x1800);
+  tmpl.write32(kSize - 4, 0xB2);  // the partial last page
+  PhysicalMemory child(kSize);
+  child.adopt(tmpl.snapshot());
+  child.write64(0x0100, 0);            // zeroes a store page
+  child.write64(0x4000, 0xC3);         // privatizes an untouched page
+  child.fill(0x2800, 0, 0x10);         // edits a store page
+  PhysicalMemory grandchild(kSize);
+  grandchild.write8(0x7000, 9);        // a pre-adopt overlay, dropped below
+  grandchild.adopt(child.snapshot());
+  expect_same_pages(grandchild, child);
+  EXPECT_EQ(grandchild.cow_pages(), 0u);
+  // Diverging afterwards stays private to the grandchild.
+  grandchild.write8(0x2000, 0x77);
+  EXPECT_EQ(child.read8(0x2000), 0x5Cu);
+  EXPECT_EQ(tmpl.read8(0x2000), 0x5Cu);
 }
 
 TEST(Phys, OutOfRangeThrowsForEveryAccessor) {

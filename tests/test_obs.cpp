@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cctype>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "attacks/attacks.h"
 #include "cpu/cpu.h"
@@ -201,6 +203,252 @@ TEST(ObsLabels, OutcomeMatchesAttacksEnum) {
     EXPECT_EQ(outcome_label(i),
               lower(attacks::outcome_name(static_cast<attacks::Outcome>(i))))
         << "Outcome " << int(i);
+}
+
+// ---------------------------------------------------------------------------
+// Collector derivations over a scripted event stream.
+
+/// Every EventKind, every exception-class, key and outcome label (plus one
+/// out-of-range value each, which lands on the "<bad-...>" label), a syscall
+/// window closed by an ERET to EL0, a key-switch burst and a lone key write.
+std::vector<TraceEvent> scripted_stream() {
+  std::vector<TraceEvent> s;
+  uint64_t t = 100;
+  const auto add = [&](EventKind kind, uint8_t k1 = 0, uint8_t k2 = 0) {
+    TraceEvent e = make_event(kind, t);
+    e.k1 = k1;
+    e.k2 = k2;
+    e.pc = 0x400000 + t;
+    e.a = 0x800000 + t;
+    e.b = 60 + k1;  // ExcEnter: syscall nr
+    s.push_back(e);
+    t += 7;
+  };
+  for (uint8_t k = 1; k < static_cast<uint8_t>(EventKind::kCount); ++k)
+    add(static_cast<EventKind>(k));
+  for (uint8_t cls = 0; cls <= 8; ++cls) {
+    add(EventKind::ExcEnter, cls);
+    add(EventKind::ExcExit, 0, cls % 2);  // odd classes return to EL1
+  }
+  for (uint8_t key = 0; key <= 5; ++key) add(EventKind::KeyWrite, key);
+  t += 100;  // closes the burst above
+  add(EventKind::KeyWrite, 2);
+  t += 100;
+  add(EventKind::KeyWrite, 3);  // a lone write closing a one-write burst
+  for (uint8_t key = 0; key <= 5; ++key) {
+    add(EventKind::PacSign, key);
+    add(EventKind::AuthOk, key);
+    add(EventKind::AuthFail, key);
+  }
+  for (uint8_t o = 0; o <= 3; ++o) add(EventKind::AttackOutcome, o);
+  return s;
+}
+
+void feed(Collector& c, const std::vector<TraceEvent>& stream, bool replay) {
+  for (const TraceEvent& e : stream) {
+    if (replay)
+      c.replay(e);
+    else
+      c.emit(e);
+  }
+  for (uint8_t el = 0; el < 3; ++el)
+    c.retire(0x1000 + el, el, el, 3 + el);
+  AuditEvent sign;
+  sign.kind = AuditKind::Sign;
+  sign.cycles = 10;
+  sign.ptr2 = 0xABCD;
+  c.audit(sign);
+  AuditEvent auth;
+  auth.kind = AuditKind::AuthOk;
+  auth.cycles = 42;
+  auth.ptr = 0xABCD;
+  c.audit(auth);
+}
+
+Options unprofiled() {
+  Options o;
+  o.enabled = true;
+  o.profile = false;
+  o.callgraph = false;
+  return o;
+}
+
+TEST(CollectorStream, MetricsMatchRecordedDerivation) {
+  Collector c(unprofiled());
+  feed(c, scripted_stream(), false);
+  EXPECT_EQ(c.metrics_json(), R"({
+  "counters": {
+    "attack.<bad-outcome>": 1,
+    "attack.blocked": 1,
+    "attack.detected": 1,
+    "attack.hijacked": 2,
+    "attack.outcome": 5,
+    "cycles.el0": 3,
+    "cycles.el1": 4,
+    "cycles.el2": 5,
+    "exc.<bad-class>": 1,
+    "exc.brk": 1,
+    "exc.data-abort": 1,
+    "exc.enter": 10,
+    "exc.exit": 10,
+    "exc.insn-abort": 1,
+    "exc.irq": 1,
+    "exc.pac-fail": 1,
+    "exc.svc": 1,
+    "exc.undefined": 1,
+    "exc.unknown": 2,
+    "hvc.call": 1,
+    "insn.el0": 1,
+    "insn.el1": 1,
+    "insn.el2": 1,
+    "key.write": 9,
+    "key.write.<bad-key>": 1,
+    "key.write.da": 2,
+    "key.write.db": 2,
+    "key.write.ga": 1,
+    "key.write.ia": 2,
+    "key.write.ib": 1,
+    "module.load": 1,
+    "msr.denied": 1,
+    "ops.branch": 1,
+    "ops.call": 1,
+    "ops.load": 0,
+    "ops.other": 1,
+    "ops.pauth": 0,
+    "ops.pauth-branch": 0,
+    "ops.ret": 0,
+    "ops.store": 0,
+    "ops.sys": 0,
+    "pauth.auth.fail": 7,
+    "pauth.auth.fail.<bad-key>": 1,
+    "pauth.auth.fail.da": 1,
+    "pauth.auth.fail.db": 1,
+    "pauth.auth.fail.ga": 1,
+    "pauth.auth.fail.ia": 2,
+    "pauth.auth.fail.ib": 1,
+    "pauth.auth.ok": 7,
+    "pauth.sign": 7,
+    "pauth.sign.<bad-key>": 1,
+    "pauth.sign.da": 1,
+    "pauth.sign.db": 1,
+    "pauth.sign.ga": 1,
+    "pauth.sign.ia": 2,
+    "pauth.sign.ib": 1,
+    "sched.switch": 1,
+    "stage2.fault": 1,
+    "syscall.count": 1
+  },
+  "histograms": {
+    "key.switch.cycles": {
+      "count": 1,
+      "sum": 35,
+      "min": 35,
+      "max": 35,
+      "mean": 35,
+      "p50": 35,
+      "p95": 35,
+      "p99": 35,
+      "log2_buckets": [
+        0,
+        0,
+        0,
+        0,
+        0,
+        1
+      ]
+    },
+    "pauth.sign_to_auth.cycles": {
+      "count": 1,
+      "sum": 32,
+      "min": 32,
+      "max": 32,
+      "mean": 32,
+      "p50": 32,
+      "p95": 32,
+      "p99": 32,
+      "log2_buckets": [
+        0,
+        0,
+        0,
+        0,
+        0,
+        1
+      ]
+    },
+    "syscall.cycles": {
+      "count": 1,
+      "sum": 21,
+      "min": 21,
+      "max": 21,
+      "mean": 21,
+      "p50": 21,
+      "p95": 21,
+      "p99": 21,
+      "log2_buckets": [
+        0,
+        0,
+        0,
+        0,
+        1
+      ]
+    }
+  }
+})");
+}
+
+TEST(CollectorStream, NeverEmittedKindCreatesNoCounter) {
+  // Counters each kind derives; a stream without that kind must leave all
+  // of them absent (the registry shape is a function of the stream).
+  const std::vector<std::pair<EventKind, std::vector<std::string>>> derived = {
+      {EventKind::ExcEnter, {"exc.enter", "exc.svc", "syscall.count"}},
+      {EventKind::ExcExit, {"exc.exit"}},
+      {EventKind::KeyWrite, {"key.write", "key.write.ia"}},
+      {EventKind::PacSign, {"pauth.sign", "pauth.sign.ia"}},
+      {EventKind::AuthOk, {"pauth.auth.ok"}},
+      {EventKind::AuthFail, {"pauth.auth.fail", "pauth.auth.fail.ia"}},
+      {EventKind::Stage2Fault, {"stage2.fault"}},
+      {EventKind::ContextSwitch, {"sched.switch"}},
+      {EventKind::HvcCall, {"hvc.call"}},
+      {EventKind::ModuleLoad, {"module.load"}},
+      {EventKind::MsrDenied, {"msr.denied"}},
+      {EventKind::AttackOutcome, {"attack.outcome", "attack.hijacked"}},
+  };
+  const std::vector<TraceEvent> full = scripted_stream();
+  const size_t fresh = Collector(unprofiled()).metrics().counters().size();
+  for (const auto& [kind, names] : derived) {
+    std::vector<TraceEvent> without;
+    for (const TraceEvent& e : full)
+      if (e.kind != kind) without.push_back(e);
+    Collector c(unprofiled());
+    for (const TraceEvent& e : without) c.emit(e);
+    for (const std::string& n : names)
+      EXPECT_FALSE(c.metrics().has_counter(n))
+          << n << " without any " << event_kind_name(kind);
+    // Emitting just that kind creates its counters.
+    Collector only(unprofiled());
+    for (const TraceEvent& e : full)
+      if (e.kind == kind) only.emit(e);
+    for (const std::string& n : names)
+      EXPECT_GT(only.metrics().value(n), 0u) << n;
+  }
+  // The syscall-free kinds derive nothing at all.
+  Collector quiet(unprofiled());
+  quiet.emit(make_event(EventKind::SyscallEnter, 1));
+  quiet.emit(make_event(EventKind::SyscallExit, 2));
+  EXPECT_EQ(quiet.metrics().counters().size(), fresh);
+}
+
+TEST(CollectorStream, ReplayDerivesTheSameRegistryAsEmit) {
+  const std::vector<TraceEvent> stream = scripted_stream();
+  Collector emitted(unprofiled());
+  Collector replayed(unprofiled());
+  feed(emitted, stream, false);
+  feed(replayed, stream, true);
+  EXPECT_EQ(replayed.metrics_json(), emitted.metrics_json());
+  // Only the ring differs: replay does not re-synthesize the syscall
+  // window's SyscallEnter/SyscallExit markers.
+  EXPECT_EQ(replayed.ring().size(), stream.size());
+  EXPECT_EQ(emitted.ring().size(), stream.size() + 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -230,6 +230,27 @@ TEST(Snapshot, FreshBootPrivatizesOnlyWrittenPages) {
   EXPECT_EQ(reg.find_histogram("hist.snap.cow_pages"), nullptr);
 }
 
+TEST(Snapshot, PageStoreHoldsOnlyWrittenPages) {
+  Machine m(snap_config(kEngineCombos[3], 1));
+  add_workload(m);
+  m.boot();
+  const mem::PhysicalMemory& pm = m.mmu().phys();
+  const MachineSnapshot snap = m.take_snapshot();
+  const mem::PageStore& store = *snap.pages;
+  // One entry per nonzero-generation page, in ascending page order, each
+  // carrying that page's generation: a booted 64 MiB machine captures a few
+  // dozen entries, not one per page.
+  std::vector<uint64_t> written;
+  for (uint64_t p = 0; p < pm.page_count(); ++p)
+    if (pm.page_generation(p) != 0) written.push_back(p);
+  ASSERT_EQ(store.pages.size(), written.size());
+  EXPECT_LT(store.pages.size() * 32, pm.page_count());
+  for (size_t i = 0; i < written.size(); ++i) {
+    EXPECT_EQ(store.pages[i].index, written[i]);
+    EXPECT_EQ(store.pages[i].generation, pm.page_generation(written[i]));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // CoW isolation: a child's writes are invisible to the template and to
 // sibling forks; page generations move only forward within the writer.
