@@ -11,8 +11,8 @@
 // immediately instead.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "mem/valayout.h"
 #include "qarma/qarma64.h"
@@ -92,14 +92,16 @@ class PauthUnit {
   // QARMA is a pure function of (block, modifier, key), so its results can be
   // memoized exactly: entries are tagged with the full key material, making a
   // key change a natural miss with no epoch bookkeeping. Host-side only —
-  // signing and authentication results are bit-for-bit unchanged.
+  // signing and authentication results are bit-for-bit unchanged. Nearly all
+  // the reuse it catches is short-range, so it is small: a perfbench
+  // syscall-mix cell misses 10,066 times at 4096 entries, 10,067 at 64 and
+  // 10,119 at 16, and runs QARMA 24,364 times without the memo.
 
   /// Enable/disable the memo cache (the CPU propagates its fast-path toggle
   /// here; standalone PauthUnit users default to the uncached cipher).
   void set_fast_path(bool on) {
     fast_path_ = on;
-    cache_.clear();
-    if (on) cache_.resize(kPacEntries);
+    cache_.fill(PacEntry{});
   }
   bool fast_path() const { return fast_path_; }
 
@@ -120,10 +122,10 @@ class PauthUnit {
     uint64_t mac = 0;
     bool valid = false;
   };
-  static constexpr size_t kPacEntries = 4096;  // direct-mapped
+  static constexpr size_t kPacEntries = 64;  // direct-mapped
 
   mem::VaLayout layout_;
-  mutable std::vector<PacEntry> cache_;  ///< empty unless fast_path_
+  mutable std::array<PacEntry, kPacEntries> cache_{};  ///< unused unless fast_path_
   mutable PacCacheStats pac_stats_;
   bool fast_path_ = false;
 };

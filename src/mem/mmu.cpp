@@ -76,10 +76,12 @@ TranslateResult Mmu::translate_miss(uint64_t va, uint64_t va_lookup,
   const TranslateResult r = translate_slow(va, va_lookup, map, access, el);
   ++tlb_stats_.misses;
   // Faults are never cached: only a fully permission-checked success may be
-  // replayed, and it is stamped with the generations it was checked against.
+  // replayed, and it is stamped with the map identity and generations it was
+  // checked against.
   if (r.ok()) {
     e = TlbEntry{va_lookup >> VaLayout::kPageShift,
-                 r.pa >> VaLayout::kPageShift, map->generation(), s2_gen};
+                 r.pa >> VaLayout::kPageShift, map->uid(), map->generation(),
+                 s2_gen};
   }
   return r;
 }

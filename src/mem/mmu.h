@@ -14,12 +14,14 @@
 //
 // Fast path (DESIGN.md §3c): every successful translation can be served from
 // a small direct-mapped micro-TLB, one way per (EL, access) pair so
-// permission semantics are baked into the lookup key. Entries carry the
-// generation counters of the stage-1 half and the stage-2 overlay they were
-// validated against; any map/unmap/protect/restrict bumps the owning map's
-// generation, so a permission change is visible on the very next access.
-// Swapping whole maps (SwitchUserSpace installs a different Stage1Map
-// pointer) flushes the TLB outright. Faulting translations are never cached,
+// permission semantics are baked into the lookup key. Entries carry the uid
+// and generation of the stage-1 map and the generation of the stage-2
+// overlay they were validated against; any map/unmap/protect/restrict bumps
+// the owning map's generation, so a permission change is visible on the very
+// next access. The uid works like an ASID: SwitchUserSpace installs a
+// different Stage1Map without flushing, the other map's entries simply miss,
+// and the kernel half's entries survive the switch. Installing a kernel map
+// or a stage-2 overlay still flushes. Faulting translations are never cached,
 // so PAC-poisoned (non-canonical) pointers fault identically with the TLB on
 // or off.
 #pragma once
@@ -94,7 +96,9 @@ class Stage1Map {
   /// Adopt another map's entries and generation but keep this object's own
   /// uid — Machine::fork duplicates the template's maps into fresh objects,
   /// so consumers keyed by (uid, generation) can never confuse a fork's map
-  /// with the template's (no ABA across machines).
+  /// with the template's (no ABA across machines). The generation may go
+  /// back, so an Mmu that has this map installed must flush its TLB after
+  /// the copy (Hypervisor::restore_state does).
   void copy_from(const Stage1Map& other) {
     pages_ = other.pages_;
     generation_ = other.generation_;
@@ -155,10 +159,8 @@ class Mmu {
  public:
   Mmu(PhysicalMemory& phys, VaLayout layout) : phys_(&phys), layout_(layout) {}
 
-  void set_user_map(const Stage1Map* m) {
-    user_map_ = m;
-    flush_tlb();
-  }
+  /// No flush: micro-TLB entries carry their map's uid (see above).
+  void set_user_map(const Stage1Map* m) { user_map_ = m; }
   void set_kernel_map(const Stage1Map* m) {
     kernel_map_ = m;
     flush_tlb();
@@ -199,8 +201,8 @@ class Mmu {
     const uint64_t tag = va_lookup >> VaLayout::kPageShift;
     TlbEntry& e = tlb_[way_index(el, access)][tag & (kTlbEntries - 1)];
     const uint64_t s2_gen = stage2_ != nullptr ? stage2_->generation() : 0;
-    if (e.va_page == tag && e.s1_gen == map->generation() &&
-        e.s2_gen == s2_gen) {
+    if (e.va_page == tag && e.s1_uid == map->uid() &&
+        e.s1_gen == map->generation() && e.s2_gen == s2_gen) {
       ++tlb_stats_.hits;
       return {FaultKind::None, (e.pa_page << VaLayout::kPageShift) |
                                    (va & mask(VaLayout::kPageShift))};
@@ -264,13 +266,14 @@ class Mmu {
     flush_tlb();
   }
   bool fast_path() const { return fast_path_; }
-  /// Drop every cached translation (map-pointer swaps do this implicitly).
+  /// Drop every cached translation (installing a kernel map or a stage-2
+  /// overlay does this implicitly).
   void flush_tlb() const;
 
   struct TlbStats {
     uint64_t hits = 0;
     uint64_t misses = 0;   ///< slow-walked translations (successes installed)
-    uint64_t flushes = 0;  ///< whole-TLB invalidations (map pointer swaps)
+    uint64_t flushes = 0;  ///< whole-TLB invalidations
   };
   const TlbStats& tlb_stats() const { return tlb_stats_; }
 
@@ -297,6 +300,7 @@ class Mmu {
   struct TlbEntry {
     uint64_t va_page = ~uint64_t{0};  ///< tag; post-TBI canonical page number
     uint64_t pa_page = 0;
+    uint64_t s1_uid = 0;  ///< Stage1Map::uid of the map it came from
     uint64_t s1_gen = 0;  ///< Stage1Map::generation at install time
     uint64_t s2_gen = 0;  ///< Stage2Map::generation at install time
   };

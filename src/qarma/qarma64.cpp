@@ -1,6 +1,7 @@
 #include "qarma/qarma64.h"
 
 #include <array>
+#include <memory>
 
 #include "support/bits.h"
 #include "support/error.h"
@@ -55,14 +56,6 @@ constexpr uint64_t lfsr(uint64_t c) {
 constexpr uint64_t lfsr_inv(uint64_t c) {
   return ((c << 1) & 0xF) | (((c >> 3) ^ c) & 1);
 }
-
-// Round constants: fractional digits of pi (as in PRINCE/QARMA), plus the
-// reflection constant alpha.
-constexpr std::array<uint64_t, 8> kRoundConst = {
-    0x0000000000000000ULL, 0x13198A2E03707344ULL, 0xA4093822299F31D0ULL,
-    0x082EFA98EC4E6C89ULL, 0x452821E638D01377ULL, 0xBE5466CF34E90C6CULL,
-    0x3F84D5B5B5470917ULL, 0x9216D5D98979FB1BULL};
-constexpr uint64_t kAlpha = 0xC0AC29B7C97C50DDULL;
 
 uint64_t permute(uint64_t v, const std::array<uint8_t, 16>& p) {
   uint64_t out = 0;
@@ -119,121 +112,142 @@ uint64_t Qarma64::derive_w1(uint64_t w0) {
   return ror64(w0, 1) ^ (w0 >> 63);
 }
 
+// ---- Table-driven evaluation ---------------------------------------------
+//
+// Every layer except the S-box is linear over GF(2)^64, so applying it to a
+// state equals XORing its images of the state's eight bytes taken in place:
+// each linear layer the rounds use becomes eight 256-entry tables (16 KiB).
+// The S-box layer is cell-local, so it becomes one 256-entry table of S-box
+// pairs, and where it feeds straight into a linear layer the two share one
+// set of tables (S then MixColumns . tau, S^-1 then tau^-1 . MixColumns).
+// The tables are filled once per process from the cell-wise functions above,
+// so the two paths cannot drift apart; tests/test_qarma.cpp checks them
+// against each other.
+
+namespace {
+
+using LinearTable = std::array<std::array<uint64_t, 256>, 8>;
+using SboxTable = std::array<uint8_t, 256>;
+
+struct Tables {
+  LinearTable mix;        ///< MixColumns (k1 = Q * k0)
+  LinearTable mix_tau;    ///< MixColumns . tau
+  LinearTable fwd_round;  ///< MixColumns . tau . S
+  LinearTable tau_inv;    ///< tau^-1
+  LinearTable inv_round;  ///< tau^-1 . MixColumns . S^-1
+  LinearTable tweak;      ///< one tweak-schedule step (h, then omega)
+  SboxTable sbox_inv;     ///< S^-1 alone, for the last backward round
+};
+
+/// t[b][v] = layer(v placed in byte b), optionally after the S-box pair.
+template <typename Layer>
+void tabulate(LinearTable& t, Layer layer, const SboxTable* first = nullptr) {
+  for (unsigned b = 0; b < 8; ++b)
+    for (unsigned v = 0; v < 256; ++v)
+      t[b][v] = layer(uint64_t{first ? (*first)[v] : v} << (8 * b));
+}
+
+void tabulate(SboxTable& t, uint64_t (*layer)(uint64_t)) {
+  for (unsigned v = 0; v < 256; ++v) t[v] = static_cast<uint8_t>(layer(v));
+}
+
+std::unique_ptr<const Tables> build_tables() {
+  auto t = std::make_unique<Tables>();
+  SboxTable sbox{};
+  tabulate(sbox, Qarma64::sub_cells);
+  tabulate(t->sbox_inv, Qarma64::inv_sub_cells);
+  tabulate(t->mix, Qarma64::mix_columns);
+  const auto mix_tau = [](uint64_t s) {
+    return Qarma64::mix_columns(Qarma64::shuffle(s));
+  };
+  tabulate(t->mix_tau, mix_tau);
+  tabulate(t->fwd_round, mix_tau, &sbox);
+  tabulate(t->tau_inv, Qarma64::inv_shuffle);
+  tabulate(t->inv_round, [](uint64_t s) {
+    return Qarma64::inv_shuffle(Qarma64::mix_columns(s));
+  }, &t->sbox_inv);
+  tabulate(t->tweak, Qarma64::update_tweak);
+  return t;
+}
+
+const Tables& tables() {
+  static const std::unique_ptr<const Tables> t = build_tables();
+  return *t;
+}
+
+// Both combine the eight byte lookups as a balanced tree, so a layer costs
+// about one load plus three ALU steps of latency rather than an 8-step chain.
+uint64_t apply(const LinearTable& t, uint64_t s) {
+  const auto at = [&](unsigned b) { return t[b][(s >> (8 * b)) & 0xFF]; };
+  return ((at(0) ^ at(1)) ^ (at(2) ^ at(3))) ^ ((at(4) ^ at(5)) ^ (at(6) ^ at(7)));
+}
+
+uint64_t apply(const SboxTable& t, uint64_t s) {
+  const auto at = [&](unsigned b) {
+    return uint64_t{t[(s >> (8 * b)) & 0xFF]} << (8 * b);
+  };
+  return ((at(0) | at(1)) | (at(2) | at(3))) | ((at(4) | at(5)) | (at(6) | at(7)));
+}
+
+/// The cipher in either direction. Decryption has encryption's shape with
+/// the whitening keys swapped and alpha moved to the other half, and its
+/// reflector step tau^-1 . M . (tau(s) ^ k1) equals tau^-1 . (M . tau(s) ^ k0)
+/// because M is an involution and k1 = M * k0. So:
+///   encrypt: evaluate(.., w0, w1, k1, 0, alpha)
+///   decrypt: evaluate(.., w1, w0, k0, alpha, 0)
+uint64_t evaluate(const Tables& t, int rounds, uint64_t block, uint64_t tweak,
+                  uint64_t k0, uint64_t w_in, uint64_t w_out,
+                  uint64_t reflect_key, uint64_t alpha_in, uint64_t alpha_out) {
+  // Tweaks T_0 .. T_r; the backward rounds reuse them instead of stepping
+  // the inverse schedule.
+  const size_t r = static_cast<size_t>(rounds);
+  std::array<uint64_t, 8> tw{};
+  tw[0] = tweak;
+  for (size_t i = 0; i < r; ++i) tw[i + 1] = apply(t.tweak, tw[i]);
+  const auto& c = Qarma64::kRoundConst;
+
+  // r forward rounds; round 0 is "short" (no shuffle / MixColumns). z is the
+  // state before a round's S-box layer, so that layer and the next round's
+  // MixColumns . tau take one table pass, and the round tweakey enters
+  // through MixColumns . tau off the state's dependency chain.
+  uint64_t z = block ^ w_in ^ k0 ^ tw[0] ^ c[0] ^ alpha_in;
+  for (size_t i = 1; i < r; ++i)
+    z = apply(t.fwd_round, z) ^ apply(t.mix_tau, k0 ^ tw[i] ^ c[i] ^ alpha_in);
+
+  // Central construction: one full forward round keyed by w_out + T_r, the
+  // keyed pseudo-reflector tau . Q . tau^-1, one full backward round keyed by
+  // w_in + T_r.
+  z = apply(t.fwd_round, z) ^ apply(t.mix_tau, w_out ^ tw[r]);
+  uint64_t s = apply(t.tau_inv, apply(t.fwd_round, z) ^ reflect_key);
+  s = apply(t.inv_round, s) ^ w_in ^ tw[r];
+
+  // r backward rounds mirroring the forward ones.
+  for (size_t i = r; i-- > 0;) {
+    s = i != 0 ? apply(t.inv_round, s) : apply(t.sbox_inv, s);
+    s ^= k0 ^ tw[i] ^ c[i] ^ alpha_out;
+  }
+  return s ^ w_out;
+}
+
+}  // namespace
+
 Qarma64::Qarma64(int rounds) : rounds_(rounds) {
   if (rounds < 3 || rounds > 7) fail("Qarma64: rounds must be in [3,7]");
+  tables();  // fill the tables here rather than inside a timed call
 }
 
 uint64_t Qarma64::encrypt(uint64_t plaintext, uint64_t tweak,
                           const Key128& key) const {
-  const uint64_t w0 = key.w0;
-  const uint64_t w1 = derive_w1(w0);
-  const uint64_t k0 = key.k0;
-  const uint64_t k1 = mix_columns(k0);  // reflector key, k1 = Q * k0
-
-  uint64_t s = plaintext ^ w0;
-  uint64_t t = tweak;
-
-  // r forward rounds; round 0 is "short" (no shuffle / MixColumns).
-  for (int i = 0; i < rounds_; ++i) {
-    s ^= k0 ^ t ^ kRoundConst[static_cast<size_t>(i)];
-    if (i != 0) {
-      s = shuffle(s);
-      s = mix_columns(s);
-    }
-    s = sub_cells(s);
-    t = update_tweak(t);
-  }
-
-  // Central construction: one full forward round keyed by w1 + T_r, the keyed
-  // pseudo-reflector tau . Q . tau^-1 with key k1, one full backward round
-  // keyed by w0 + T_r.
-  s ^= w1 ^ t;
-  s = shuffle(s);
-  s = mix_columns(s);
-  s = sub_cells(s);
-
-  s = shuffle(s);
-  s = mix_columns(s);
-  s ^= k1;
-  s = inv_shuffle(s);
-
-  s = inv_sub_cells(s);
-  s = mix_columns(s);
-  s = inv_shuffle(s);
-  s ^= w0 ^ t;
-
-  // r backward rounds mirroring the forward ones, with alpha folded into the
-  // round tweakey.
-  for (int i = rounds_ - 1; i >= 0; --i) {
-    t = inv_update_tweak(t);
-    s = inv_sub_cells(s);
-    if (i != 0) {
-      s = mix_columns(s);
-      s = inv_shuffle(s);
-    }
-    s ^= k0 ^ t ^ kRoundConst[static_cast<size_t>(i)] ^ kAlpha;
-  }
-
-  return s ^ w1;
+  const Tables& t = tables();
+  const uint64_t k1 = apply(t.mix, key.k0);  // reflector key, k1 = Q * k0
+  return evaluate(t, rounds_, plaintext, tweak, key.k0, key.w0,
+                  derive_w1(key.w0), k1, 0, kAlpha);
 }
 
 uint64_t Qarma64::decrypt(uint64_t ciphertext, uint64_t tweak,
                           const Key128& key) const {
-  // Structural inverse of encrypt(); kept explicit (rather than relying on
-  // the alpha-reflection key trick) so invertibility holds by construction.
-  const uint64_t w0 = key.w0;
-  const uint64_t w1 = derive_w1(w0);
-  const uint64_t k0 = key.k0;
-  const uint64_t k1 = mix_columns(k0);
-
-  uint64_t s = ciphertext ^ w1;
-
-  // Recompute the forward tweak sequence.
-  std::array<uint64_t, 8> tseq{};
-  tseq[0] = tweak;
-  for (int i = 0; i < rounds_; ++i) tseq[static_cast<size_t>(i + 1)] = update_tweak(tseq[static_cast<size_t>(i)]);
-
-  // Undo the backward rounds (forward direction).
-  for (int i = 0; i < rounds_; ++i) {
-    s ^= k0 ^ tseq[static_cast<size_t>(i)] ^ kRoundConst[static_cast<size_t>(i)] ^ kAlpha;
-    if (i != 0) {
-      s = shuffle(s);
-      s = mix_columns(s);
-    }
-    s = sub_cells(s);
-  }
-
-  const uint64_t tr = tseq[static_cast<size_t>(rounds_)];
-
-  // Undo the central construction.
-  s ^= w0 ^ tr;
-  s = shuffle(s);
-  s = mix_columns(s);
-  s = sub_cells(s);
-
-  s = shuffle(s);
-  s ^= k1;
-  s = mix_columns(s);
-  s = inv_shuffle(s);
-
-  s = inv_sub_cells(s);
-  s = mix_columns(s);
-  s = inv_shuffle(s);
-  s ^= w1 ^ tr;
-
-  // Undo the forward rounds.
-  uint64_t t = tr;
-  for (int i = rounds_ - 1; i >= 0; --i) {
-    t = inv_update_tweak(t);
-    s = inv_sub_cells(s);
-    if (i != 0) {
-      s = mix_columns(s);
-      s = inv_shuffle(s);
-    }
-    s ^= k0 ^ t ^ kRoundConst[static_cast<size_t>(i)];
-  }
-
-  return s ^ w0;
+  return evaluate(tables(), rounds_, ciphertext, tweak, key.k0,
+                  derive_w1(key.w0), key.w0, key.k0, kAlpha, 0);
 }
 
 uint64_t compute_pac_cipher(uint64_t data, uint64_t modifier,

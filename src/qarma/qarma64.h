@@ -16,8 +16,13 @@
 // this implementation and property-checks the algebraic requirements
 // (bijectivity per (key, tweak), involutory MixColumns, α-independence of
 // inverse, full avalanche).
+//
+// Evaluation runs on byte tables (96 KiB, filled once per process) built from
+// the cell-wise layers below; tests/test_qarma.cpp checks the two against
+// each other on 1M random (key, tweak, block) triples.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 namespace camo::qarma {
@@ -44,7 +49,19 @@ class Qarma64 {
 
   int rounds() const { return rounds_; }
 
-  // -- Exposed internals (used by unit tests to check algebraic properties) --
+  /// Round constants c_0..c_7 (fractional digits of pi, as in PRINCE/QARMA).
+  static constexpr std::array<uint64_t, 8> kRoundConst = {
+      0x0000000000000000ULL, 0x13198A2E03707344ULL, 0xA4093822299F31D0ULL,
+      0x082EFA98EC4E6C89ULL, 0x452821E638D01377ULL, 0xBE5466CF34E90C6CULL,
+      0x3F84D5B5B5470917ULL, 0x9216D5D98979FB1BULL};
+  /// Reflection constant alpha, folded into the backward round tweakeys.
+  static constexpr uint64_t kAlpha = 0xC0AC29B7C97C50DDULL;
+
+  // -- Cell-wise reference layers ------------------------------------------
+  // Each works one 4-bit cell at a time, straight from the QARMA paper.
+  // encrypt()/decrypt() never call them per block: they run on byte tables
+  // built from these functions once per process. The unit tests use them to
+  // check algebraic properties and as the reference the tables must match.
 
   /// MixColumns with the involutory matrix M = circ(0, rho^1, rho^2, rho^1).
   static uint64_t mix_columns(uint64_t state);

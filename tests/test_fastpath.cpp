@@ -306,5 +306,34 @@ TEST(FastPathInvariance, CacheStatsOnlyAccumulateWhenEnabled) {
       << "every fetch is exactly one predecode-cache event";
 }
 
+// ---------------------------------------------------------------------------
+// Exact host work. Wall-clock time is too noisy on a shared host to catch a
+// host-side regression, but the work the fast path does is a deterministic
+// function of (config, engine, guest). These counts were recorded with the
+// micro-TLB tagging entries by stage-1 map uid and a 64-entry PAC memo. A
+// flush on every user-map switch gives 85 flushes and 593 misses here, and
+// memo thrash raises the PAC misses.
+// ---------------------------------------------------------------------------
+
+TEST(FastPathWork, TwoTaskYieldLoopHostWorkIsPinned) {
+  kernel::MachineConfig cfg;
+  cfg.kernel.protection = compiler::ProtectionConfig::full();
+  cfg.kernel.log_pac_failures = false;
+  cfg.obs.enabled = true;
+  kernel::Machine m(cfg);
+  m.add_user_program(kernel::workloads::yield_loop(40));
+  m.add_user_program(kernel::workloads::yield_loop(40));
+  m.boot();
+  ASSERT_TRUE(m.run());
+  ASSERT_NE(m.stats(), nullptr);
+  const obs::Registry& reg = m.stats()->metrics();
+  const uint64_t flush = reg.value("fastpath.tlb.flush");
+  const uint64_t miss = reg.value("fastpath.tlb.miss");
+  const uint64_t pac_miss = reg.value("fastpath.pac.miss");
+  EXPECT_EQ(flush, 3u);
+  EXPECT_EQ(miss, 98u);
+  EXPECT_EQ(pac_miss, 422u);
+}
+
 }  // namespace
 }  // namespace camo

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "mem/mmu.h"
@@ -580,18 +581,101 @@ TEST_F(MmuTest, Stage2RestrictVisibleOnTheVeryNextAccess) {
             FaultKind::Stage2);
 }
 
-TEST_F(MmuTest, MapPointerSwapFlushesTlb) {
-  // Two address spaces with the same VA mapped to different PAs: the cached
-  // entry from the first space must not leak into the second.
+TEST_F(MmuTest, MapSwapNeverServesOtherMapsPa) {
+  // Two address spaces with the same VA mapped to different PAs: switching
+  // A -> B -> A must always return the installed map's PA, although entries
+  // of both maps stay in the TLB (they are told apart by map uid).
   Stage1Map other;
   other.map_range(kUserBase, 0x30000, 0x1000, PagePerms::user_rw());
-  const auto r1 = mmu.translate(kUserBase, Access::Read, El::El0);
-  ASSERT_TRUE(r1.ok());
-  EXPECT_EQ(r1.pa, 0x20000u);
-  mmu.set_user_map(&other);
-  const auto r2 = mmu.translate(kUserBase, Access::Read, El::El0);
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(r2.pa, 0x30000u);
+  for (int round = 0; round < 2; ++round) {
+    mmu.set_user_map(&umap);
+    for (Access a : {Access::Read, Access::Write}) {
+      const auto r = mmu.translate(kUserBase + 0x40, a, El::El0);
+      ASSERT_TRUE(r.ok());
+      EXPECT_EQ(r.pa, 0x20040u) << "round " << round;
+    }
+    mmu.set_user_map(&other);
+    for (Access a : {Access::Read, Access::Write}) {
+      const auto r = mmu.translate(kUserBase + 0x40, a, El::El0);
+      ASSERT_TRUE(r.ok());
+      EXPECT_EQ(r.pa, 0x30040u) << "round " << round;
+    }
+  }
+}
+
+TEST_F(MmuTest, UserMapSwitchKeepsEntriesWithoutFlushing) {
+  // A -> B -> A: the switches flush nothing, kernel-half translations keep
+  // hitting throughout, and A's own entries hit again once A is back.
+  Stage1Map other;
+  other.map_range(kUserBase, 0x30000, 0x1000, PagePerms::user_rw());
+  ASSERT_TRUE(mmu.translate(kKernBase, Access::Read, El::El1).ok());
+  ASSERT_TRUE(mmu.translate(kUserBase, Access::Read, El::El0).ok());
+  const auto before = mmu.tlb_stats();
+  for (const Stage1Map* m : {&other, &umap}) {
+    mmu.set_user_map(m);
+    const auto hits = mmu.tlb_stats().hits;
+    EXPECT_EQ(mmu.translate(kKernBase, Access::Read, El::El1).pa, 0x10000u);
+    EXPECT_EQ(mmu.tlb_stats().hits, hits + 1) << "kernel entry must survive";
+  }
+  const auto hits = mmu.tlb_stats().hits;
+  EXPECT_EQ(mmu.translate(kUserBase, Access::Read, El::El0).pa, 0x20000u);
+  EXPECT_EQ(mmu.tlb_stats().hits, hits + 1) << "A's entry must hit again";
+  EXPECT_EQ(mmu.tlb_stats().flushes, before.flushes);
+  EXPECT_EQ(mmu.tlb_stats().misses, before.misses);
+}
+
+TEST_F(MmuTest, MapRebuiltAtSameAddressNeverHitsStaleEntry) {
+  // A map destroyed and rebuilt in the same storage has the same address
+  // and the same generation, but a fresh uid: its first access must miss.
+  std::optional<Stage1Map> slot;
+  slot.emplace().map_range(kUserBase, 0x30000, 0x1000, PagePerms::user_rw());
+  const Stage1Map* const first = &*slot;
+  const uint64_t first_uid = slot->uid(), first_gen = slot->generation();
+  mmu.set_user_map(first);
+  ASSERT_EQ(mmu.translate(kUserBase, Access::Read, El::El0).pa, 0x30000u);
+  mmu.set_user_map(&umap);
+  slot.reset();
+  slot.emplace().map_range(kUserBase, 0x40000, 0x1000, PagePerms::user_rw());
+  ASSERT_EQ(&*slot, first);
+  ASSERT_EQ(slot->generation(), first_gen);
+  ASSERT_NE(slot->uid(), first_uid);
+  mmu.set_user_map(&*slot);
+  const auto before = mmu.tlb_stats();
+  EXPECT_EQ(mmu.translate(kUserBase, Access::Read, El::El0).pa, 0x40000u);
+  EXPECT_EQ(mmu.tlb_stats().hits, before.hits);
+  EXPECT_EQ(mmu.tlb_stats().misses, before.misses + 1);
+}
+
+TEST_F(MmuTest, PoisonedPointerFaultsAcrossMapSwitches) {
+  // Entries that survive a user-map switch must not let a PAC-poisoned form
+  // of a cached address through: the canonical check precedes the probe.
+  Stage1Map other;
+  other.map_range(kUserBase, 0x30000, 0x1000, PagePerms::user_rw());
+  const uint64_t poisoned = kUserBase | (uint64_t{0x41} << 48);
+  for (const Stage1Map* m : {&umap, &other, &umap}) {
+    mmu.set_user_map(m);
+    ASSERT_TRUE(mmu.translate(kUserBase, Access::Read, El::El0).ok());
+    const auto hits = mmu.tlb_stats().hits;
+    EXPECT_EQ(mmu.translate(poisoned, Access::Read, El::El0).fault,
+              FaultKind::AddressSize);
+    EXPECT_EQ(mmu.tlb_stats().hits, hits);
+  }
+}
+
+TEST_F(MmuTest, KernelMapAndStage2InstallStillFlush) {
+  // Re-installing the very same map would hit without a flush; these two
+  // setters must still drop every cached translation.
+  mmu.set_stage2(&s2);
+  ASSERT_TRUE(mmu.translate(kKernBase, Access::Read, El::El1).ok());
+  for (int which = 0; which < 2; ++which) {
+    const auto before = mmu.tlb_stats();
+    if (which == 0) mmu.set_kernel_map(&kmap);
+    else mmu.set_stage2(&s2);
+    EXPECT_EQ(mmu.tlb_stats().flushes, before.flushes + 1);
+    ASSERT_TRUE(mmu.translate(kKernBase, Access::Read, El::El1).ok());
+    EXPECT_EQ(mmu.tlb_stats().hits, before.hits);
+    EXPECT_EQ(mmu.tlb_stats().misses, before.misses + 1);
+  }
 }
 
 TEST_F(MmuTest, FastPathOffTakesNoTlbStats) {
